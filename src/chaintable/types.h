@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace chaintable {
@@ -74,6 +75,14 @@ struct Filter {
   std::optional<std::string> row_from;  ///< inclusive lower bound
   std::optional<std::string> row_to;    ///< exclusive upper bound
   std::optional<std::pair<std::string, std::string>> property_equals;
+
+  /// Matches every row of `partition` (every row at all when it is empty).
+  [[nodiscard]] static Filter OfPartition(
+      std::optional<std::string> partition) {
+    Filter filter;
+    filter.partition = std::move(partition);
+    return filter;
+  }
 
   [[nodiscard]] bool Matches(const TableRow& row) const;
   [[nodiscard]] std::string ToString() const;

@@ -47,28 +47,42 @@ namespace systest {
 /// 64-bit digest of a program state (or of one machine's contribution).
 using Fingerprint = std::uint64_t;
 
-/// Incremental FNV-1a 64 over 64-bit words. Also the extension point handed
+/// Incremental word-at-a-time state hasher. Also the extension point handed
 /// to Machine::FingerprintPayload, so domain harnesses mix their semantic
 /// state (counters, table contents, ...) into the default structural view.
+///
+/// Every Mix round is a bijection in the running hash for a fixed word AND
+/// in the word for a fixed running hash, and Digest applies a bijective
+/// finalizer, so two equal-length word sequences that differ in any one
+/// word can never digest equal (pinned by tests/core_fingerprint_test.cc).
+/// The finalizer spreads every input bit across the low bits, which
+/// explore::ShardedFingerprintSet uses to pick a shard.
 class StateHasher {
  public:
   StateHasher& Mix(std::uint64_t value) noexcept {
-    // FNV-1a, one byte at a time over the little-endian word: keeps the
-    // avalanche of the byte-wise reference function without materializing a
-    // buffer.
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash_ ^= (value >> shift) & 0xffu;
-      hash_ *= kPrime;
-    }
+    // One multiply per word: xor-in and multiply by an odd constant are
+    // bijections, and the xor-shift folds the product's well-mixed high
+    // half back into the low half so the next multiply carries it upward.
+    hash_ = (hash_ ^ value) * kMultiplier;
+    hash_ ^= hash_ >> 32;
     return *this;
   }
 
-  [[nodiscard]] Fingerprint Digest() const noexcept { return hash_; }
+  [[nodiscard]] Fingerprint Digest() const noexcept {
+    // murmur3 fmix64: a bijective avalanche over the whole word.
+    std::uint64_t h = hash_;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
 
  private:
-  static constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  static constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash_ = kOffset;
+  static constexpr std::uint64_t kSeed = 0x243f6a8885a308d3ull;
+  static constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ull;
+  std::uint64_t hash_ = kSeed;
 };
 
 /// Consecutive already-visited states after which an execution is pruned

@@ -1,6 +1,7 @@
 #include "core/runtime.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/event_arena.h"
 #include "obs/probe.h"
@@ -106,8 +107,7 @@ void Machine::BeginReceive(std::initializer_list<EventTypeId> types) {
 
 bool Machine::TryFulfillReceive() {
   std::size_t index = 0;
-  for (const auto& ev : queue_) {
-    const EventTypeId type = ev->TypeId();
+  for (const EventTypeId type : queue_.Types()) {
     if (std::find(waiting_types_.begin(), waiting_types_.end(), type) !=
         waiting_types_.end()) {
       received_ = queue_.RemoveAt(index);
@@ -125,8 +125,7 @@ std::unique_ptr<const Event> Machine::TakeReceived() {
 }
 
 bool Machine::HasMatchingQueuedEvent() const {
-  for (const auto& ev : queue_) {
-    const EventTypeId type = ev->TypeId();
+  for (const EventTypeId type : queue_.Types()) {
     if (std::find(waiting_types_.begin(), waiting_types_.end(), type) !=
         waiting_types_.end()) {
       return true;
@@ -143,8 +142,8 @@ bool Machine::IsEnabledSlow() const {
   // Deferrable state: enabled iff some queued event is processable (handler,
   // goto, ignore-drop, halt or unhandled — everything except a deferred
   // event constitutes a step).
-  for (const auto& ev : queue_) {
-    if (current_state_->defers.Contains(ev->TypeId())) {
+  for (const EventTypeId type : queue_.Types()) {
+    if (current_state_->defers.Contains(type)) {
       continue;
     }
     return true;
@@ -182,14 +181,13 @@ void Machine::RunStep() {
       // No deferrable events in this state: take the front directly.
       ev = queue_.PopFront();
     } else {
+      const std::span<const EventTypeId> types = queue_.Types();
       std::size_t index = 0;
-      const std::size_t size = queue_.Size();
-      const auto* events = queue_.begin();
-      while (index < size &&
-             current_state_->defers.Contains(events[index]->TypeId())) {
+      while (index < types.size() &&
+             current_state_->defers.Contains(types[index])) {
         ++index;
       }
-      if (index == size) return;  // only deferred events remain
+      if (index == types.size()) return;  // only deferred events remain
       ev = queue_.RemoveAt(index);
     }
     if (current_state_ != nullptr &&

@@ -1,13 +1,14 @@
 // SysTest exploration subsystem.
 //
 // ShardedFingerprintSet: the concurrent VisitedSet shared by parallel
-// exploration workers. The 64-bit fingerprints are already well-mixed
-// (FNV-1a), so the low bits pick one of 64 independently locked shards —
-// workers only contend when they land on the same shard at the same instant,
-// which keeps the per-step Insert cheap enough to sit inside the exploration
-// inner loop. Sharing one set across the portfolio is the point: a state any
-// worker has visited prunes every other worker's schedules that reconverge
-// to it, so the fleet stops racing toward duplicate states.
+// exploration workers. The 64-bit fingerprints are already well-mixed (the
+// StateHasher finalizer avalanches every input bit into the low bits), so
+// the low bits pick one of 64 independently locked shards — workers only
+// contend when they land on the same shard at the same instant, which keeps
+// the per-step Insert cheap enough to sit inside the exploration inner loop.
+// Sharing one set across the portfolio is the point: a state any worker has
+// visited prunes every other worker's schedules that reconverge to it, so
+// the fleet stops racing toward duplicate states.
 //
 // Each shard is a TieredFingerprintSet (exact hot front + compacting sorted
 // runs — see core/fingerprint.h), so shards compact independently: one

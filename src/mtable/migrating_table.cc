@@ -148,7 +148,7 @@ TaskOf<MtResult> MigratingTable::Write(WriteKind kind, const TableKey& key,
         co_return MtResult{};  // not part of the MigratingTable surface
     }
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 TaskOf<MtResult> MigratingTable::WriteOld(WriteKind kind, const TableKey& key,
@@ -179,7 +179,8 @@ TaskOf<MtResult> MigratingTable::WriteOld(WriteKind kind, const TableKey& key,
   auto call2_ = client_.Execute(TableSel::kOld, write, std::move(lin));
   BackendResult r = co_await std::move(call2_);
   if (r.fence_failed) {
-    co_return MtResult{TableCode::kInvalid};  // caller re-reads and re-routes
+    // The caller re-reads and re-routes.
+    co_return MtResult::Of(TableCode::kInvalid);
   }
   MtResult out;
   out.code = r.op.code;
@@ -317,14 +318,14 @@ TaskOf<MtResult> MigratingTable::InsertNew(const TableKey& key,
     const TableCode code =
         co_await LinearizeFailure(key, kAnyEtag, spec, /*for_insert=*/true);
     if (code == TableCode::kAlreadyExists) {
-      co_return MtResult{TableCode::kAlreadyExists};
+      co_return MtResult::Of(TableCode::kAlreadyExists);
     }
     if (code == TableCode::kInvalid) {
       break;
     }
     // code == kOk: the key is authoritatively absent now; retry the insert.
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 TaskOf<MtResult> MigratingTable::ReplaceNew(const TableKey& key,
@@ -402,14 +403,14 @@ TaskOf<MtResult> MigratingTable::ReplaceNew(const TableKey& key,
     const TableCode code =
         co_await LinearizeFailure(key, cond_etag, spec, /*for_insert=*/false);
     if (code == TableCode::kNotFound || code == TableCode::kConditionNotMet) {
-      co_return MtResult{code};
+      co_return MtResult::Of(code);
     }
     if (code == TableCode::kInvalid) {
       break;
     }
     // code == kOk: the row matches again; retry the replace.
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 TaskOf<MtResult> MigratingTable::UpsertNew(const TableKey& key,
@@ -435,8 +436,8 @@ TaskOf<MtResult> MigratingTable::UpsertNew(const TableKey& key,
       }
       return actions;
     };
-    auto call18_ = client_.Execute(TableSel::kNew,
-                                               TableOpWrite{op}, std::move(lin));
+    auto call18_ = client_.Execute(TableSel::kNew, TableOpWrite::Unfenced(op),
+                                   std::move(lin));
     BackendResult w = co_await std::move(call18_);
     if (w.op.Ok()) {
       MtResult out;
@@ -445,7 +446,7 @@ TaskOf<MtResult> MigratingTable::UpsertNew(const TableKey& key,
       co_return out;
     }
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 TaskOf<MtResult> MigratingTable::DeleteNew(const TableKey& key, Etag cond_etag,
@@ -494,7 +495,7 @@ TaskOf<MtResult> MigratingTable::DeleteNew(const TableKey& key, Etag cond_etag,
             client_.Execute(TableSel::kNew, write, std::move(lin));
         BackendResult w = co_await std::move(write_call);
         if (w.op.Ok()) {
-          co_return MtResult{TableCode::kOk};
+          co_return MtResult::Of(TableCode::kOk);
         }
         continue;
       }
@@ -522,7 +523,7 @@ TaskOf<MtResult> MigratingTable::DeleteNew(const TableKey& key, Etag cond_etag,
               client_.Execute(TableSel::kNew, write, std::move(lin));
           BackendResult w = co_await std::move(write_call);
           if (w.op.Ok()) {
-            co_return MtResult{TableCode::kOk};
+            co_return MtResult::Of(TableCode::kOk);
           }
           continue;
         }
@@ -532,13 +533,13 @@ TaskOf<MtResult> MigratingTable::DeleteNew(const TableKey& key, Etag cond_etag,
     const TableCode code = co_await LinearizeFailure(target, cond_etag, spec,
                                                      /*for_insert=*/false);
     if (code == TableCode::kNotFound || code == TableCode::kConditionNotMet) {
-      co_return MtResult{code};
+      co_return MtResult::Of(code);
     }
     if (code == TableCode::kInvalid) {
       break;
     }
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 // ---------------------------------------------------------------------------
@@ -608,7 +609,7 @@ TaskOf<MtResult> MigratingTable::Retrieve(const TableKey& key) {
     }
     co_return out;
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 namespace {
@@ -655,7 +656,7 @@ TaskOf<MtResult> MigratingTable::QueryAtomic(const Filter& filter) {
   // shadow its stale (matching) old-table version.
   Filter backend = bugs_.query_atomic_filter_shadowing
                        ? filter
-                       : Filter{.partition = filter.partition};
+                       : Filter::OfPartition(filter.partition);
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     auto guard0_call = client_.Execute(TableSel::kOld, TableOpMutationCount{},
                                        nullptr);
@@ -687,7 +688,7 @@ TaskOf<MtResult> MigratingTable::QueryAtomic(const Filter& filter) {
       co_return out;
     }
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 // ---------------------------------------------------------------------------
@@ -711,7 +712,7 @@ TaskOf<std::uint64_t> MigratingTable::StreamStart(const Filter& filter) {
   if (bugs_.query_streamed_lock) {
     auto call39_ = client_.Execute(
         TableSel::kNew,
-        TableOpQueryAtomic{Filter{.partition = stream_.user_filter.partition}},
+        TableOpQueryAtomic{Filter::OfPartition(stream_.user_filter.partition)},
         nullptr);
     // BUG QueryStreamedLock: snapshot the new table once at stream start and
     // serve all "new side" reads from the snapshot instead of re-reading
@@ -734,7 +735,7 @@ TaskOf<MtResult> MigratingTable::StreamNext() {
   // reads; a non-matching new row then fails to shadow a matching old one.
   const Filter base = bugs_.query_streamed_filter_shadowing
                           ? stream_.user_filter
-                          : Filter{.partition = stream_.user_filter.partition};
+                          : Filter::OfPartition(stream_.user_filter.partition);
 
   for (int round = 0; round < 1'000; ++round) {
     auto call40_ = client_.Execute(
@@ -816,7 +817,7 @@ TaskOf<MtResult> MigratingTable::StreamNext() {
     out.etag = winner->etag;
     co_return out;
   }
-  co_return MtResult{TableCode::kInvalid};
+  co_return MtResult::Of(TableCode::kInvalid);
 }
 
 }  // namespace mtable

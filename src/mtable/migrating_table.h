@@ -70,6 +70,13 @@ struct MtResult {
   std::optional<chaintable::TableRow> row;            ///< retrieve/stream
   std::vector<chaintable::TableRow> rows;             ///< atomic query
 
+  /// A result carrying only `code`: no etag, row or rows.
+  [[nodiscard]] static MtResult Of(chaintable::TableCode code) {
+    MtResult result;
+    result.code = code;
+    return result;
+  }
+
   [[nodiscard]] bool Ok() const noexcept {
     return code == chaintable::TableCode::kOk;
   }

@@ -47,7 +47,7 @@ Task MigratorMachine::SetState(const std::string& partition,
   op.row.key = StateRowKey(partition);
   op.row.properties = Properties{
       {"s", std::to_string(static_cast<int>(state))}};
-  auto call2_ = Execute(TableSel::kNew, TableOpWrite{op}, nullptr);
+  auto call2_ = Execute(TableSel::kNew, TableOpWrite::Unfenced(op), nullptr);
   BackendResult r =
       co_await std::move(call2_);
   Assert(r.op.Ok(), "migrator failed to update partition state");
@@ -92,7 +92,7 @@ Task MigratorMachine::EnsurePartitionSwitched(const std::string& partition) {
     // preserves the old backend etag so conditional operations keep working
     // across the move.
     auto call3_ = Execute(
-        TableSel::kOld, TableOpQueryAtomic{Filter{.partition = partition}},
+        TableSel::kOld, TableOpQueryAtomic{Filter::OfPartition(partition)},
         nullptr);
     BackendResult snapshot = co_await std::move(call3_);
     for (const QueryRow& row : snapshot.rows) {
@@ -101,7 +101,8 @@ Task MigratorMachine::EnsurePartitionSwitched(const std::string& partition) {
       op.row.key = row.row.key;
       op.row.properties = row.row.properties;
       op.row.properties[kOrigEtagProp] = std::to_string(row.etag);
-      auto call4_ = Execute(TableSel::kNew, TableOpWrite{op}, nullptr);
+      auto call4_ =
+          Execute(TableSel::kNew, TableOpWrite::Unfenced(op), nullptr);
       BackendResult r =
           co_await std::move(call4_);
       Assert(r.op.code == TableCode::kOk ||
@@ -125,7 +126,7 @@ Task MigratorMachine::EnsurePartitionSwitched(const std::string& partition) {
   // InsertBehindMigrator loses data).
   for (;;) {
     auto call5_ = Execute(
-        TableSel::kOld, TableOpQueryAtomic{Filter{.partition = partition}},
+        TableSel::kOld, TableOpQueryAtomic{Filter::OfPartition(partition)},
         nullptr);
     BackendResult left = co_await std::move(call5_);
     if (left.rows.empty()) {
@@ -136,7 +137,8 @@ Task MigratorMachine::EnsurePartitionSwitched(const std::string& partition) {
       op.kind = WriteKind::kDelete;
       op.row.key = row.row.key;
       op.etag = kAnyEtag;
-      auto call6_ = Execute(TableSel::kOld, TableOpWrite{op}, nullptr);
+      auto call6_ =
+          Execute(TableSel::kOld, TableOpWrite::Unfenced(op), nullptr);
       (void)co_await std::move(call6_);
     }
   }
@@ -160,7 +162,7 @@ Task MigratorMachine::SweepTombstones() {
     op.etag = row.etag;
     // A concurrent insert-over-tombstone may beat us; that is fine — the
     // conditional delete then fails and the row (now live) stays.
-    auto call8_ = Execute(TableSel::kNew, TableOpWrite{op}, nullptr);
+    auto call8_ = Execute(TableSel::kNew, TableOpWrite::Unfenced(op), nullptr);
     (void)co_await std::move(call8_);
   }
 }

@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -78,6 +79,13 @@ struct TableOpWrite {
   bool fenced = false;
   chaintable::TableKey fence_key;
   chaintable::Etag fence_etag = chaintable::kInvalidEtag;
+
+  /// A write of `op` that carries no configuration fence.
+  [[nodiscard]] static TableOpWrite Unfenced(chaintable::WriteOp op) {
+    TableOpWrite write;
+    write.op = std::move(op);
+    return write;
+  }
 };
 struct TableOpRetrieve {
   chaintable::TableKey key;

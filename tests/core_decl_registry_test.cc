@@ -2,9 +2,15 @@
 // and the event queue — the hot-path machinery behind the runtime overhaul.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <typeindex>
+#include <vector>
 
 #include "core/event_queue.h"
+#include "core/rng.h"
 #include "core/systest.h"
 
 namespace {
@@ -16,6 +22,7 @@ using systest::Monitor;
 
 struct RegProbe final : Event {};
 struct RegOther final : Event {};
+struct RegThird final : Event {};
 
 class RegMachineA final : public Machine {
  public:
@@ -169,6 +176,74 @@ TEST(EventQueue, FifoRemoveAtAndCompaction) {
   }
   EXPECT_EQ(q.Size(), 1u);
   EXPECT_EQ(q.PopFront()->TypeId(), systest::EventTypeIdOf<RegOther>());
+}
+
+/// Asserts the queue's events, type lane and queue hash all match `model`.
+void ExpectQueueMatches(const systest::detail::EventQueue& q,
+                        const std::deque<const Event*>& model) {
+  ASSERT_EQ(q.Size(), model.size());
+  ASSERT_EQ(q.Types().size(), model.size());
+  systest::StateHasher expected;
+  expected.Mix(model.size());
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    ASSERT_EQ(q.begin()[i].get(), model[i]) << "event " << i;
+    ASSERT_EQ(q.Types()[i], model[i]->TypeId()) << "type lane slot " << i;
+    expected.Mix(model[i]->TypeId());
+  }
+  systest::StateHasher actual;
+  q.HashTypesInto(actual);
+  ASSERT_EQ(actual.Digest(), expected.Digest());
+}
+
+TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
+  using systest::detail::EventQueue;
+  const std::array<systest::EventTypeId, 3> types{
+      systest::EventTypeIdOf<RegProbe>(), systest::EventTypeIdOf<RegOther>(),
+      systest::EventTypeIdOf<RegThird>()};
+  auto make = [](std::uint64_t kind) -> std::unique_ptr<const Event> {
+    switch (kind) {
+      case 0:
+        return systest::MakeEvent<RegProbe>();
+      case 1:
+        return systest::MakeEvent<RegOther>();
+      default:
+        return systest::MakeEvent<RegThird>();
+    }
+  };
+  EventQueue q;
+  std::deque<const Event*> model;
+  systest::Xoshiro256 rng(20160722);
+  std::uint64_t removals_past_head = 0;
+  for (int op = 0; op < 40'000; ++op) {
+    // Long push-heavy and pop-heavy phases let the queue grow well past 32
+    // live events and then drain a consumed prefix of 32+ without emptying,
+    // which is what triggers compaction.
+    const bool push_phase = (op / 500) % 2 == 0;
+    const std::uint64_t roll = rng.NextBelow(1000);
+    if (roll == 0) {
+      q.Clear();
+      model.clear();
+    } else if (model.empty() || roll < (push_phase ? 650u : 350u)) {
+      std::unique_ptr<const Event> ev = make(rng.NextBelow(types.size()));
+      model.push_back(ev.get());
+      q.PushBack(std::move(ev));
+    } else if (roll < 850) {
+      std::unique_ptr<const Event> ev = q.PopFront();
+      ASSERT_EQ(ev.get(), model.front());
+      model.pop_front();
+    } else {
+      const std::size_t index = rng.NextBelow(model.size());
+      removals_past_head += index > 0 ? 1 : 0;
+      std::unique_ptr<const Event> ev = q.RemoveAt(index);
+      ASSERT_EQ(ev.get(), model[index]);
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(index));
+    }
+    ExpectQueueMatches(q, model);
+    if (HasFatalFailure()) {
+      FAIL() << "diverged after operation " << op;
+    }
+  }
+  EXPECT_GT(removals_past_head, 0u);
 }
 
 }  // namespace

@@ -2,16 +2,20 @@
 // fingerprint sequence, serial and across 1-vs-N exploration workers),
 // byte-identical traces with stateful off vs on (fingerprinting must never
 // perturb scheduling), collision safety of the default hashable state view,
-// the incremental-vs-recompute cross-check, engine pruning/stats, the
+// the StateHasher's bijectivity and shard spread, the incremental-vs-
+// recompute cross-check on every case study, engine pruning/stats, the
 // max_visited cap, and the new TestConfig::Validate rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "api/scenario_registry.h"
 #include "chaintable/memory_table.h"
 #include "core/systest.h"
 #include "explore/parallel_engine.h"
@@ -214,20 +218,150 @@ TEST(FingerprintView, SetupTimeMutationReachesTheInitialFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
+// StateHasher properties: every Mix round and the finalizer are bijections,
+// so single-word changes can never collide, and the digests' low bits (the
+// ShardedFingerprintSet shard index) are evenly spread.
+
+Fingerprint DigestOf(const std::vector<std::uint64_t>& words) {
+  StateHasher hasher;
+  for (const std::uint64_t word : words) {
+    hasher.Mix(word);
+  }
+  return hasher.Digest();
+}
+
+TEST(StateHasherProperties, EverySingleBitFlipChangesTheDigest) {
+  systest::Xoshiro256 rng(14);
+  for (std::size_t length = 1; length <= 8; ++length) {
+    std::vector<std::vector<std::uint64_t>> bases{
+        std::vector<std::uint64_t>(length, 0)};
+    std::vector<std::uint64_t> random(length);
+    for (auto& word : random) word = rng.Next();
+    bases.push_back(random);
+    for (const auto& base : bases) {
+      const Fingerprint digest = DigestOf(base);
+      for (std::size_t pos = 0; pos < length; ++pos) {
+        for (int bit = 0; bit < 64; ++bit) {
+          std::vector<std::uint64_t> flipped = base;
+          flipped[pos] ^= std::uint64_t{1} << bit;
+          ASSERT_NE(DigestOf(flipped), digest)
+              << "length " << length << ", word " << pos << ", bit " << bit;
+        }
+      }
+    }
+  }
+}
+
+TEST(StateHasherProperties, PrefixRelatedSequencesDiffer) {
+  EXPECT_NE(DigestOf({}), DigestOf({0}));
+  systest::Xoshiro256 rng(9);
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const std::uint64_t x = i < 2048 ? i : rng.Next();
+    ASSERT_NE(DigestOf({x}), DigestOf({x, 0})) << "x = " << x;
+  }
+}
+
+/// Chi-square statistic of `digests` bucketed by their low 6 bits, the
+/// ShardedFingerprintSet shard index (63 degrees of freedom).
+double ShardChiSquare(const std::vector<Fingerprint>& digests) {
+  constexpr std::size_t kShards = 64;
+  std::vector<std::size_t> counts(kShards, 0);
+  for (const Fingerprint digest : digests) {
+    ++counts[digest % kShards];
+  }
+  const double expected = static_cast<double>(digests.size()) / kShards;
+  double chi_square = 0;
+  for (const std::size_t count : counts) {
+    const double delta = static_cast<double>(count) - expected;
+    chi_square += delta * delta / expected;
+  }
+  return chi_square;
+}
+
+TEST(StateHasherProperties, DigestsSpreadAcrossShards) {
+  // 64K inputs per family; with 63 degrees of freedom, 120 is far beyond
+  // the 99.99th percentile (~107).
+  constexpr std::uint64_t kSequences = 64 * 1024;
+  std::vector<Fingerprint> small_integers;
+  std::vector<Fingerprint> high_bits_only;
+  for (std::uint64_t i = 0; i < kSequences; ++i) {
+    // Shaped like a machine contribution (id, flags, state id, queue
+    // length, one queued type), all small integers.
+    small_integers.push_back(
+        DigestOf({1 + (i >> 10), 1, (i >> 3) & 127, 1, i & 7}));
+    // Words that differ only above bit 32 (e.g. the high half of a payload
+    // digest) must still reach the low bits.
+    high_bits_only.push_back(DigestOf({1, i << 32}));
+  }
+  EXPECT_LT(ShardChiSquare(small_integers), 120.0);
+  EXPECT_LT(ShardChiSquare(high_bits_only), 120.0);
+}
+
+// ---------------------------------------------------------------------------
 // Incremental maintenance matches a from-scratch recompute at every step.
 
-TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnSampleRepl) {
-  const systest::Harness harness =
-      samplerepl::MakeHarness(samplerepl::HarnessOptions{});
+/// Steps `harness` under a random schedule and asserts the incrementally
+/// maintained world fingerprint equals a full recompute after every step.
+/// Returns the longest inbox seen, so callers can check that the run really
+/// exercised long queues.
+std::size_t ExpectIncrementalMatchesRecompute(const systest::Harness& harness,
+                                              bool payloads,
+                                              std::uint64_t max_steps) {
   systest::RandomStrategy strategy(2016);
-  strategy.PrepareIteration(0, 2000);
-  systest::Runtime rt(strategy, StatefulOptions(2000));
+  strategy.PrepareIteration(0, max_steps);
+  systest::RuntimeOptions options = StatefulOptions(max_steps);
+  options.fingerprint_payloads = payloads;
+  systest::Runtime rt(strategy, options);
   harness(rt);
   EXPECT_EQ(rt.ExecutionFingerprint(), rt.RecomputeExecutionFingerprint());
-  while (rt.Steps() < 2000 && rt.Step()) {
-    ASSERT_EQ(rt.ExecutionFingerprint(), rt.RecomputeExecutionFingerprint())
+  std::size_t longest_inbox = 0;
+  while (rt.Steps() < max_steps && rt.Step()) {
+    const Fingerprint incremental = rt.ExecutionFingerprint();
+    const Fingerprint recomputed = rt.RecomputeExecutionFingerprint();
+    EXPECT_EQ(incremental, recomputed)
         << "incremental fingerprint diverged at step " << rt.Steps();
+    if (incremental != recomputed) break;
+    for (std::uint64_t id = 1; id <= rt.MachineCount(); ++id) {
+      longest_inbox = std::max(
+          longest_inbox, rt.FindMachine(MachineId{id})->QueueLength());
+    }
   }
+  return longest_inbox;
+}
+
+systest::Harness RegisteredHarness(const std::string& scenario,
+                                   const systest::api::ParamMap& params = {}) {
+  const systest::api::Scenario* found =
+      systest::api::ScenarioRegistry::Instance().Find(scenario);
+  EXPECT_NE(found, nullptr) << scenario;
+  return found != nullptr ? found->make(params) : systest::Harness{};
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnSampleRepl) {
+  ExpectIncrementalMatchesRecompute(
+      samplerepl::MakeHarness(samplerepl::HarnessOptions{}),
+      /*payloads=*/false, 2000);
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnVNextTimerQueues) {
+  // Extent nodes defer timer ticks and repair traffic while busy, so their
+  // inboxes grow long (past the queue's 32-entry compaction threshold) and
+  // the deferred-event scan skips over them.
+  EXPECT_GE(ExpectIncrementalMatchesRecompute(
+                RegisteredHarness("vnext-fixed"), /*payloads=*/true, 4000),
+            32u);
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnMTableWithPayloads) {
+  ExpectIncrementalMatchesRecompute(RegisteredHarness("mtable-migration"),
+                                    /*payloads=*/true, 4000);
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnChainTableProbes) {
+  // The shared table is hashed by a world-level fingerprint probe.
+  ExpectIncrementalMatchesRecompute(
+      RegisteredHarness("chaintable-cas", {{"writers", "3"}, {"ops", "4"}}),
+      /*payloads=*/true, 2000);
 }
 
 // ---------------------------------------------------------------------------
