@@ -1,7 +1,7 @@
 // SysTest public API layer.
 //
 // StrategyRegistry: the single construction site for scheduling strategies,
-// keyed by string name. It replaces the StrategyKind enum switch that used to
+// keyed by string name. It replaces the per-engine strategy switch that used to
 // be duplicated across the serial engine, the parallel engine and the CLI —
 // and it makes strategies pluggable: a third-party strategy registered here
 // (via SYSTEST_REGISTER_STRATEGY or Register()) is immediately usable from

@@ -156,6 +156,18 @@ RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging) {
   return options;
 }
 
+TieredOptions MakeVisitedOptions(const TestConfig& config) {
+  TieredOptions options;
+  options.max_entries = static_cast<std::size_t>(config.max_visited);
+  options.hot_entries = static_cast<std::size_t>(config.max_visited_hot);
+  options.spill_dir = config.visited_spill_dir;
+  if (!options.spill_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.spill_dir, ec);
+  }
+  return options;
+}
+
 namespace {
 
 /// The scheduling loop of StepToCompletion, entered AFTER the world is set
@@ -284,28 +296,35 @@ ExecutionRunner::ExecutionRunner(const TestConfig& config,
                                  const Harness& harness,
                                  SchedulingStrategy& strategy,
                                  obs::WorkerObs* obs)
+    : ExecutionRunner(config, harness, strategy,
+                      MakeRuntimeOptions(config, /*logging=*/false), obs) {}
+
+ExecutionRunner::ExecutionRunner(const TestConfig& config,
+                                 const Harness& harness,
+                                 SchedulingStrategy& strategy,
+                                 RuntimeOptions options, obs::WorkerObs* obs)
     : config_(config),
       harness_(harness),
       strategy_(strategy),
       obs_(obs),
-      options_(MakeRuntimeOptions(config, /*logging=*/false)),
+      options_(std::move(options)),
       arena_(std::make_unique<detail::EventArena>()) {
   if (obs_ != nullptr) {
     options_.probe = &obs_->probe;
   }
 }
 
-ExecutionRunner::~ExecutionRunner() { DropRecycledRuntime(); }
+ExecutionRunner::~ExecutionRunner() { DropRuntime(); }
 
-void ExecutionRunner::DropRecycledRuntime() {
+void ExecutionRunner::DropRuntime() {
   if (runtime_ == nullptr) {
     return;
   }
-  // The sealed setup prototypes are heap/pool-backed and must see REAL
-  // deletes, so they are extracted first and die after the disarm below.
-  // Everything else the runtime still holds (queued events, coroutine-held
-  // events) is arena-backed, so the runtime itself must die while the arena
-  // is armed — those deletes have to no-op.
+  // The sealed setup prototypes are heap-backed and must see REAL deletes,
+  // so they are extracted first and die after the disarm below. Everything
+  // else the runtime still holds (queued events, coroutine-held events) is
+  // arena-backed, so the runtime itself must die while the arena is armed —
+  // those deletes have to no-op.
   std::vector<std::unique_ptr<const Event>> prototypes =
       runtime_->TakeSetupPrototypes();
   {
@@ -353,6 +372,9 @@ void ExecutionRunner::RunBody(Runtime& runtime, bool run_harness,
   if (config_.stateful && config_.record_fingerprint_trail) {
     result.fingerprint_trail = runtime.TakeFingerprintTrail();
   }
+  if (options_.logging) {
+    result.log = runtime.Log();
+  }
 }
 
 ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
@@ -365,39 +387,27 @@ ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
   if (obs_ != nullptr) {
     obs_->BeginExecution();
   }
-  switch (mode_) {
-    case Mode::kRecycling: {
-      const detail::ScopedEventArenaArm arm(arena_.get());
-      runtime_->ResetForNextExecution(arena_.get());
-      RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
-              visited);
-      return result;
-    }
-    case Mode::kProbing: {
-      if (arena_ == nullptr) {
-        arena_ = std::make_unique<detail::EventArena>();
-      }
-      {
-        // Armed optimistically: if the seal succeeds this execution's live
-        // events are already arena-backed, exactly like every later one.
-        const detail::ScopedEventArenaArm arm(arena_.get());
-        runtime_ = std::make_unique<Runtime>(strategy_, options_);
-        RunBody(*runtime_, /*run_harness=*/true, /*try_seal=*/true, result,
-                visited);
-      }
-      if (mode_ != Mode::kRecycling) {
-        // Opted out (or the harness itself threw, leaving mode_ at kProbing
-        // to retry the seal next time): this probe's runtime dies with its
-        // arena, and later executions take the fresh/pool path below.
-        DropRecycledRuntime();
-      }
-      return result;
-    }
-    case Mode::kFresh:
-      break;
+  if (mode_ == Mode::kRecycling) {
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_->ResetForNextExecution(arena_.get());
+    RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
+            visited);
+    return result;
   }
-  Runtime runtime(strategy_, options_);
-  RunBody(runtime, /*run_harness=*/true, /*try_seal=*/false, result, visited);
+  {
+    // Probe or fresh execution: one arena epoch for a newly built Runtime.
+    // The probe also tries the seal; if it succeeds this execution's live
+    // events are already arena-backed, exactly like every later one.
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_ = std::make_unique<Runtime>(strategy_, options_);
+    RunBody(*runtime_, /*run_harness=*/true,
+            /*try_seal=*/mode_ == Mode::kProbing, result, visited);
+  }
+  if (mode_ != Mode::kRecycling) {
+    // Opted out (or the harness itself threw, leaving mode_ at kProbing to
+    // retry the seal next time): the runtime dies and the epoch rewinds.
+    DropRuntime();
+  }
   return result;
 }
 
@@ -409,17 +419,7 @@ TestReport TestingEngine::Run() {
   const auto strategy = StrategyRegistry::Instance().Create(
       config_.strategy, config_.seed, config_.strategy_budget);
   report.strategy_name = strategy->Name();
-  TieredOptions visited_options;
-  visited_options.max_entries = static_cast<std::size_t>(config_.max_visited);
-  visited_options.hot_entries =
-      static_cast<std::size_t>(config_.max_visited_hot);
-  visited_options.spill_dir = config_.visited_spill_dir;
-  if (!visited_options.spill_dir.empty()) {
-    // Creation failure is non-fatal: runs then stay in memory.
-    std::error_code ec;
-    std::filesystem::create_directories(visited_options.spill_dir, ec);
-  }
-  TieredFingerprintSet visited(visited_options);
+  TieredFingerprintSet visited(MakeVisitedOptions(config_));
   VisitedSet* visited_ptr = config_.stateful ? &visited : nullptr;
   std::unique_ptr<obs::WorkerObs> worker_obs;
   if (metrics_ != nullptr) {
@@ -429,8 +429,8 @@ TestReport TestingEngine::Run() {
   }
   // One recycled Runtime serves the whole budget when the harness opted in
   // (kReusableRuntime); otherwise the runner transparently builds a fresh
-  // Runtime per iteration, exactly the old loop. Declared after strategy /
-  // worker_obs: the runner borrows both and must die first.
+  // Runtime per iteration. Declared after strategy / worker_obs: the runner
+  // borrows both and must die first.
   ExecutionRunner runner(config_, harness_, *strategy, worker_obs.get());
   const auto start = Clock::now();
 
@@ -499,9 +499,8 @@ TestReport TestingEngine::Run() {
 TestReport TestingEngine::Replay(const Trace& trace) {
   TestReport report;
   ReplayStrategy strategy(trace);
-  strategy.PrepareIteration(0, config_.max_steps);
   report.strategy_name = strategy.Name();
-  RuntimeOptions options = MakeRuntimeOptions(config_, true);
+  RuntimeOptions options = MakeRuntimeOptions(config_, /*logging=*/true);
   // Replay reproduces one recorded witness; it never dedups or prunes, even
   // when the config that FOUND the bug was stateful.
   options.stateful = false;
@@ -511,33 +510,28 @@ TestReport TestingEngine::Replay(const Trace& trace) {
   // with zero fault queries matched, a fault trace re-applies every recorded
   // fault at its exact coordinate.
   options.replay_faults = true;
-  Runtime runtime(strategy, options);
+  ExecutionRunner runner(config_, harness_, strategy, std::move(options));
   ++report.executions;
   const auto start = Clock::now();
-  try {
-    StepToCompletion(runtime, harness_, config_.max_steps);
-  } catch (const BugFound& bug) {
-    report.bug_found = true;
-    report.bug_kind = bug.Kind();
-    report.bug_message = bug.what();
-    report.bug_iteration = 1;
-    report.seconds_to_bug = SecondsSince(start);
-    report.ndc = runtime.GetTrace().Size();
-    report.bug_steps = runtime.Steps();
-    report.bug_trace = runtime.GetTrace();
-  }
-  report.total_steps = runtime.Steps();
+  ExecutionResult result = runner.RunOne(/*iteration=*/0, /*visited=*/nullptr);
   report.total_seconds = SecondsSince(start);
-  report.execution_log = runtime.Log();
-  report.injected_faults = runtime.GetFaultStats();
+  report.total_steps = result.steps;
+  report.execution_log = std::move(result.log);
+  report.injected_faults = result.faults;
   report.faults = report.injected_faults.Total() > 0;
-  if (!report.bug_found) {
-    // Expose the re-recorded decision list on clean replays too, so callers
-    // (corpus tests, bit-for-bit verification) can compare it against the
-    // input trace instead of inferring fidelity from the absence of a
-    // divergence report.
-    report.bug_trace = runtime.GetTrace();
+  if (result.bug_found) {
+    report.bug_found = true;
+    report.bug_kind = result.bug_kind;
+    report.bug_message = std::move(result.bug_message);
+    report.bug_iteration = 1;
+    report.seconds_to_bug = report.total_seconds;
+    report.ndc = result.trace.Size();
+    report.bug_steps = result.steps;
   }
+  // The re-recorded decision list, on clean replays too, so callers (corpus
+  // tests, bit-for-bit verification) can compare it against the input trace
+  // instead of inferring fidelity from the absence of a divergence report.
+  report.bug_trace = std::move(result.trace);
   return report;
 }
 

@@ -46,8 +46,7 @@ struct TestConfig {
   std::uint64_t seed = 0;
   /// Strategy name resolved through StrategyRegistry ("random", "pct",
   /// "round-robin", "delay-bounded", or any registered third-party name; a
-  /// "(N)" suffix overrides strategy_budget). Implicitly assignable from the
-  /// deprecated StrategyKind enum.
+  /// "(N)" suffix overrides strategy_budget).
   StrategyName strategy;
   int strategy_budget = 2;  ///< PCT priority change points / delay budget
   std::uint64_t liveness_temperature_threshold = 0;  ///< 0 = max_steps / 2
@@ -255,6 +254,9 @@ struct ExecutionResult {
   /// TestConfig::record_fingerprint_trail). Deterministic for a given seed —
   /// prunes only truncate it.
   std::vector<Fingerprint> fingerprint_trail;
+  /// Readable execution log (Runtime::Log). Empty unless the runner's
+  /// RuntimeOptions turned logging on, as TestingEngine::Replay does.
+  std::string log;
 };
 
 /// Per-execution hook: (0-based iteration, completed result). Invoked after
@@ -265,23 +267,26 @@ using IterationCallback =
 /// Builds the per-execution RuntimeOptions implied by `config`.
 RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging);
 
+/// Builds the visited-set options implied by `config` (max_visited,
+/// max_visited_hot, visited_spill_dir) and creates the spill directory when
+/// one is set. Creation failure is non-fatal: runs then stay in memory.
+TieredOptions MakeVisitedOptions(const TestConfig& config);
+
 /// Steps `runtime` (already populated via `harness`) to quiescence or the
 /// step bound, running the end-of-execution property checks. Returns true if
 /// the step bound was hit. Throws BugFound on a violation.
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps);
 
-/// Runs exactly one execution of `harness` for the given 0-based `iteration`:
-/// prepares `strategy`, builds a fresh Runtime, steps it to completion and
-/// converts any BugFound into the returned result. This is the unit of work
-/// that both TestingEngine::Run and ParallelTestingEngine workers schedule.
-/// With config.stateful and a non-null `visited`, every post-step fingerprint
-/// is checked against the set and the execution is pruned after
-/// kFingerprintPruneRun consecutive known states (the serial engine passes
-/// its private FingerprintSet; explore workers share a sharded set).
-/// A non-null `obs` attaches its ExecutionProbe to the runtime and flushes
-/// the finished execution into the campaign instruments (obs/campaign.h);
-/// scheduling is bit-for-bit identical either way.
+/// Reference implementation of one execution on a fresh Runtime: prepares
+/// `strategy` for the 0-based `iteration`, builds the Runtime, steps it to
+/// completion and converts any BugFound into the returned result. No engine
+/// calls it (engines run ExecutionRunner); tests/core_recycle_test.cc
+/// compares the runner against it execution by execution. With
+/// config.stateful and a non-null `visited`, the execution is pruned after
+/// config.prune_run consecutive known states; a non-null `obs` flushes it
+/// into the campaign instruments (obs/campaign.h). Scheduling is
+/// bit-for-bit identical either way.
 ExecutionResult RunOneExecution(const TestConfig& config,
                                 const Harness& harness,
                                 SchedulingStrategy& strategy,
@@ -289,31 +294,38 @@ ExecutionResult RunOneExecution(const TestConfig& config,
                                 VisitedSet* visited = nullptr,
                                 obs::WorkerObs* obs = nullptr);
 
-/// Thread-affine execution recycler (ROADMAP "Raw speed: reuse everything
-/// across executions"): the stateful replacement for calling RunOneExecution
-/// in a loop. The first RunOne builds the Runtime and runs the harness as
-/// usual, then tries Runtime::SealForReuse. If every harness machine/monitor
-/// opted in (kReusableRuntime), the SAME Runtime serves every later
-/// execution via ResetForNextExecution, with events bump-allocated from an
-/// execution-scoped arena that rewinds between executions — no
-/// construction, no per-event frees, no trace reallocation. Otherwise the
-/// runner silently falls back to a fresh Runtime per execution on the
-/// thread-local event pool, bit-for-bit the pre-existing path. Results are
-/// identical either way: golden traces, fingerprints and RNG streams do not
-/// depend on which path ran (tests/core_recycle_test.cc pins this).
+/// Thread-affine execution runner: the one code path that runs a production
+/// execution (TestingEngine::Run and Replay, ParallelTestingEngine workers).
+/// The first RunOne builds the Runtime and runs the harness as usual, then
+/// tries Runtime::SealForReuse. If every harness machine/monitor opted in
+/// (kReusableRuntime), the SAME Runtime serves every later execution via
+/// ResetForNextExecution — no construction, no trace reallocation.
+/// Otherwise the runner builds a fresh Runtime per execution. Either way
+/// every execution's events are bump-allocated from an execution-scoped
+/// arena that rewinds when the execution ends, so there are no per-event
+/// frees. Results are identical on both paths: golden traces, fingerprints
+/// and RNG streams do not depend on which path ran
+/// (tests/core_recycle_test.cc pins this against RunOneExecution).
 ///
 /// One runner per thread; it borrows config/harness/strategy/obs, which
-/// must outlive it. Replay never recycles (TestingEngine::Replay builds its
-/// own Runtime), so witness reproduction is untouched.
+/// must outlive it. Logging runs never recycle (a reset would not reproduce
+/// the per-execution "create" log lines), which keeps TestingEngine::Replay
+/// on a fresh Runtime.
 class ExecutionRunner {
  public:
+  /// Runtime options derived from `config` (MakeRuntimeOptions, logging off).
   ExecutionRunner(const TestConfig& config, const Harness& harness,
                   SchedulingStrategy& strategy, obs::WorkerObs* obs);
+  /// Explicit runtime options, e.g. Replay's logging + replay_faults run.
+  /// A non-null `obs` overrides options.probe with its own probe.
+  ExecutionRunner(const TestConfig& config, const Harness& harness,
+                  SchedulingStrategy& strategy, RuntimeOptions options,
+                  obs::WorkerObs* obs = nullptr);
   ~ExecutionRunner();
   ExecutionRunner(const ExecutionRunner&) = delete;
   ExecutionRunner& operator=(const ExecutionRunner&) = delete;
 
-  /// Runs one execution for the 0-based `iteration` — drop-in for
+  /// Runs one execution for the 0-based `iteration` — equivalent to
   /// RunOneExecution with this runner's bound config/harness/strategy/obs.
   ExecutionResult RunOne(std::uint64_t iteration, VisitedSet* visited);
 
@@ -326,18 +338,18 @@ class ExecutionRunner {
  private:
   enum class Mode : std::uint8_t {
     kProbing,    ///< first execution: build, run, try to seal
-    kRecycling,  ///< sealed: reset-and-reuse with the arena armed
-    kFresh,      ///< opted out: fresh Runtime per execution, pool path
+    kRecycling,  ///< sealed: reset-and-reuse the same Runtime
+    kFresh,      ///< opted out: fresh Runtime per execution
   };
 
   /// harness (optional) + seal attempt (optional) + step loop + result
   /// assembly, exactly mirroring RunOneExecution's order.
   void RunBody(Runtime& runtime, bool run_harness, bool try_seal,
                ExecutionResult& result, VisitedSet* visited);
-  /// Destroys the recycled Runtime while its arena is armed (arena-backed
-  /// event deletes must no-op), freeing the heap-backed setup prototypes
-  /// after disarming, then rewinds the arena.
-  void DropRecycledRuntime();
+  /// Destroys runtime_ while the arena is armed (arena-backed event deletes
+  /// must no-op), freeing the heap-backed setup prototypes after disarming,
+  /// then rewinds the arena.
+  void DropRuntime();
 
   const TestConfig& config_;
   const Harness& harness_;
@@ -345,7 +357,8 @@ class ExecutionRunner {
   obs::WorkerObs* obs_;
   RuntimeOptions options_;  ///< built once; probe wired at construction
   std::unique_ptr<detail::EventArena> arena_;
-  std::unique_ptr<Runtime> runtime_;  ///< the recycled Runtime (kRecycling)
+  /// The recycled Runtime (kRecycling); otherwise set only inside RunOne.
+  std::unique_ptr<Runtime> runtime_;
   Mode mode_ = Mode::kProbing;
 };
 
@@ -358,9 +371,10 @@ class TestingEngine {
   /// first bug, per config). Returns the aggregate report.
   TestReport Run();
 
-  /// Replays a recorded trace once, with readable logging enabled, and
-  /// returns the resulting report (bug_found reflects whether the violation
-  /// reproduced).
+  /// Replays a recorded trace once through an ExecutionRunner, with
+  /// readable logging enabled and the trace's fault decisions re-applied,
+  /// and returns the resulting report (bug_found reflects whether the
+  /// violation reproduced; bug_trace is the re-recorded decision list).
   TestReport Replay(const Trace& trace);
 
   [[nodiscard]] const TestConfig& Config() const noexcept { return config_; }

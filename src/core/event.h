@@ -140,13 +140,14 @@ class Event {
   /// information, and we did so in all of our case studies" (§6.2).
   [[nodiscard]] virtual std::string Name() const;
 
-  /// Pooled allocation: every scheduling step allocates and frees at least
-  /// one event, so events recycle through a thread-local, size-binned free
-  /// list — steady-state send/dispatch does no malloc. Thread-local means no
-  /// synchronization and no cross-thread sharing (each parallel-exploration
-  /// worker owns its pool; it is released at thread exit). Over-aligned
-  /// event types fall through to the aligned global operator new
-  /// automatically, since only these two forms are overridden.
+  /// Arena allocation: every scheduling step allocates and frees at least
+  /// one event, so while ExecutionRunner has its execution-scoped arena
+  /// armed (core/event_arena.h) events are bump-allocated and reclaimed in
+  /// bulk at the end of the execution. With no arena armed — one-shot
+  /// runtimes, tests, the sealed setup prototypes — they fall through to
+  /// the global ::operator new/delete. Over-aligned event types use the
+  /// aligned global operator new automatically, since only these two forms
+  /// are overridden.
   static void* operator new(std::size_t size);
   static void operator delete(void* ptr, std::size_t size) noexcept;
 

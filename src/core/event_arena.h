@@ -8,17 +8,18 @@
 // the trace holds only indices, nothing retains event pointers across the
 // reset. That lifetime pattern is exactly an arena epoch: allocate by
 // bumping a pointer, make `delete` a no-op, and reclaim EVERYTHING at once
-// by rewinding the arena when the execution ends. This removes the
-// per-event free-list push/pop (and the size-class binning) from the
-// hottest path in the framework — Receive-heavy harnesses allocate and
-// free an event per delivered message.
+// by rewinding the arena when the execution ends. This removes per-event
+// malloc/free from the hottest path in the framework — Receive-heavy
+// harnesses allocate and free an event per delivered message. A Runtime
+// that is NOT recycled gets the same treatment with one epoch of its own:
+// ExecutionRunner arms the arena for every execution it runs and destroys
+// the Runtime before the rewind.
 //
 // The arena is thread-affine and armed per execution via
 // ScopedEventArenaArm: while armed, Event::operator new bump-allocates from
-// the arena and Event::operator delete does nothing. While NOT armed, the
-// existing thread-local size-class pool (event.cc) serves allocations
-// unchanged, so one-shot runtimes and tests see the exact pre-existing
-// behaviour.
+// the arena and Event::operator delete does nothing. While NOT armed,
+// events use the global ::operator new/delete, so one-shot runtimes and
+// tests that build a Runtime by hand need no arena.
 //
 // Two sharp edges this design must respect (both bit us in review before a
 // line was written):
@@ -27,8 +28,8 @@
 //    inside the arena instead, reclaimed by the same epoch rewind.
 //  * Objects that must SURVIVE epochs (the sealed setup-event prototypes a
 //    recycled Runtime re-delivers every execution) are allocated under
-//    ScopedEventArenaPause, which routes them to the heap/pool path and
-//    makes their eventual delete real.
+//    ScopedEventArenaPause, which routes them to the global heap and makes
+//    their eventual delete real.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +40,9 @@
 namespace systest::detail {
 
 /// Per-thread event allocation telemetry (obs-plane counters; see
-/// obs/campaign.h names::kEventPool*/kEventArena*). Trivially destructible
-/// so the thread_local teardown order cannot bite.
+/// obs/campaign.h names::kEventArena*). Trivially destructible so the
+/// thread_local teardown order cannot bite.
 struct EventAllocStats {
-  std::uint64_t pool_hits = 0;        ///< free-list pops (pool path)
-  std::uint64_t pool_misses = 0;      ///< ::operator new (pool path)
   std::uint64_t arena_allocations = 0;
   std::uint64_t arena_bytes_high_water = 0;  ///< max epoch footprint seen
 };
@@ -96,10 +95,10 @@ class EventArena {
 /// checks this first; Event::operator delete no-ops while it is non-null.
 [[nodiscard]] EventArena* ArmedEventArena() noexcept;
 
-/// Arms `arena` (which may be nullptr — the explicit "pool path" state)
+/// Arms `arena` (which may be nullptr — the explicit global-heap state)
 /// for the scope's duration, restoring whatever was armed before. One
-/// scope wraps one execution in ExecutionRunner::RunOne, so interleaved
-/// fresh-runtime executions on the same thread are unaffected.
+/// scope wraps one execution in ExecutionRunner::RunOne, so hand-built
+/// runtimes interleaved on the same thread are unaffected.
 class ScopedEventArenaArm {
  public:
   explicit ScopedEventArenaArm(EventArena* arena) noexcept;
@@ -112,7 +111,7 @@ class ScopedEventArenaArm {
 };
 
 /// Temporarily disarms the arena so allocations inside the scope go to the
-/// heap/pool and their deletes are real. Runtime::SealForReuse clones the
+/// global heap and their deletes are real. Runtime::SealForReuse clones the
 /// setup-event prototypes under this scope — they must survive every
 /// ResetEpoch for the recycled Runtime's lifetime.
 class ScopedEventArenaPause {

@@ -1187,7 +1187,7 @@ bool Runtime::SealForReuse() {
     }
   }
   // The prototypes must survive every arena epoch of the recycled runtime's
-  // lifetime, so they are cloned with the arena disarmed (heap/pool-backed,
+  // lifetime, so they are cloned with the arena disarmed (heap-backed,
   // real deletes). The pause outlives `setup` so the partial clones of a
   // failure return are really freed, not arena-no-op'd.
   const detail::ScopedEventArenaPause pause;

@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
-#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -96,17 +94,8 @@ ParallelTestReport ParallelTestingEngine::Run() {
   // schedules (sharded + striped-locked; see sharded_fingerprint_set.h).
   std::unique_ptr<ShardedFingerprintSet> visited;
   if (config_.stateful) {
-    TieredOptions visited_options;
-    visited_options.max_entries = static_cast<std::size_t>(config_.max_visited);
-    visited_options.hot_entries =
-        static_cast<std::size_t>(config_.max_visited_hot);
-    visited_options.spill_dir = config_.visited_spill_dir;
-    if (!visited_options.spill_dir.empty()) {
-      // Creation failure is non-fatal: runs then stay in memory.
-      std::error_code ec;
-      std::filesystem::create_directories(visited_options.spill_dir, ec);
-    }
-    visited = std::make_unique<ShardedFingerprintSet>(visited_options);
+    visited =
+        std::make_unique<ShardedFingerprintSet>(MakeVisitedOptions(config_));
   }
 
   const auto start = Clock::now();

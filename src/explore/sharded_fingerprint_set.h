@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "core/fingerprint.h"
 
@@ -31,19 +30,16 @@ namespace systest::explore {
 
 class ShardedFingerprintSet final : public VisitedSet {
  public:
-  /// `max_entries` is the global cap (TestConfig::max_visited), enforced by
-  /// a shared relaxed-atomic count so the sharded set has the SAME cap
-  /// semantics as the serial set (a full set freezes: known states still
-  /// hit, unseen states pass through uncounted). The check and the insert
-  /// are not one atomic step, so concurrent workers can overshoot the cap
-  /// by at most one entry each — an approximation, not a leak.
-  explicit ShardedFingerprintSet(std::size_t max_entries)
-      : ShardedFingerprintSet({max_entries, max_entries, std::string{}}) {}
-
   /// Tiered configuration (TestConfig::{max_visited, max_visited_hot,
   /// visited_spill_dir}). The hot budget is divided across the 64 shards;
   /// each shard's own max_entries is left effectively unlimited because the
-  /// global atomic enforces the real budget.
+  /// global atomic enforces the real budget. `options.max_entries` is that
+  /// global cap, kept by a shared relaxed-atomic count so the sharded set
+  /// has the SAME cap semantics as the serial set (a full set freezes:
+  /// known states still hit, unseen states pass through uncounted). The
+  /// check and the insert are not one atomic step, so concurrent workers
+  /// can overshoot the cap by at most one entry each — an approximation,
+  /// not a leak.
   explicit ShardedFingerprintSet(const TieredOptions& options)
       : max_entries_(options.max_entries) {
     TieredOptions per_shard;

@@ -3,7 +3,7 @@
 // CampaignMetrics: the campaign-wide instrument set, resolved once from a
 // MetricsRegistry so the per-execution flush path works on cached pointers
 // instead of name lookups. WorkerObs is the per-worker handle the engines
-// thread through RunOneExecution: it owns the plain ExecutionProbe the core
+// hand to their ExecutionRunner: it owns the plain ExecutionProbe the core
 // Runtime writes into and flushes it into the sharded campaign instruments
 // (and optionally a CoverageAccumulator) once per completed execution.
 #pragma once
@@ -42,12 +42,8 @@ inline constexpr const char* kFaultDrops = "faults.drops";
 inline constexpr const char* kFaultDuplications = "faults.duplications";
 inline constexpr const char* kEnabledSetSize = "enabled_set_size";
 inline constexpr const char* kExecutionSteps = "execution_steps";
-// Event allocator telemetry (core/event_arena.h): pool free-list hit/miss
-// split on the fresh path, arena bump-allocation volume on the recycled
-// path. A healthy recycled campaign shows arena allocations dominating and
-// pool misses flat after warmup.
-inline constexpr const char* kEventPoolHits = "event_pool.hits";
-inline constexpr const char* kEventPoolMisses = "event_pool.misses";
+// Event allocator telemetry (core/event_arena.h): arena bump-allocation
+// volume and the largest single-execution arena footprint.
 inline constexpr const char* kEventArenaAllocations = "event_arena.allocations";
 inline constexpr const char* kEventArenaBytesHighWater =
     "event_arena.bytes_high_water";
@@ -104,8 +100,6 @@ class CampaignMetrics {
   Counter& fault_restarts;
   Counter& fault_drops;
   Counter& fault_duplications;
-  Counter& event_pool_hits;
-  Counter& event_pool_misses;
   Counter& event_arena_allocations;
   /// Max single-execution arena footprint seen by any worker (bytes).
   Gauge& event_arena_bytes_high_water;
@@ -165,7 +159,7 @@ struct WorkerObs {
   bool coverage_enabled = false;
   CoverageAccumulator coverage;
   /// Thread-local allocator counters as of the previous flush; FlushExecution
-  /// publishes the delta, so per-execution cost is four subtractions (no
+  /// publishes the delta, so per-execution cost is one subtraction (no
   /// step-path instrumentation — the allocator already maintains the TLS
   /// totals unconditionally).
   systest::detail::EventAllocStats last_alloc_;

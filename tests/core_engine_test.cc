@@ -2,10 +2,13 @@
 // and deterministic replay.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 
 #include "core/systest.h"
+#include "samplerepl/harness.h"
 
 namespace {
 
@@ -147,6 +150,135 @@ TEST(TestingEngine, CleanProgramReportsNoBug) {
   EXPECT_FALSE(report.bug_found);
   EXPECT_EQ(report.executions, 200u);
   EXPECT_GT(report.total_steps, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Replay equivalence: TestingEngine::Replay runs through ExecutionRunner and
+// must be byte-for-byte what a hand-built logging Runtime with replay_faults
+// on produces when stepped with StepToCompletion — the log, the re-recorded
+// trace, the step count, the fault stats and the bug verdict.
+
+struct ReferenceReplay {
+  bool bug_found = false;
+  BugKind bug_kind = BugKind::kSafety;
+  std::string bug_message;
+  std::string log;
+  Trace trace;
+  std::uint64_t steps = 0;
+  systest::Runtime::FaultStats faults;
+};
+
+ReferenceReplay ReplayByHand(std::uint64_t max_steps,
+                             const systest::Harness& harness,
+                             const Trace& trace) {
+  ReferenceReplay out;
+  systest::ReplayStrategy strategy(trace);
+  strategy.PrepareIteration(0, max_steps);
+  systest::RuntimeOptions options;
+  options.max_steps = max_steps;
+  options.logging = true;
+  options.replay_faults = true;
+  systest::Runtime rt(strategy, options);
+  try {
+    systest::StepToCompletion(rt, harness, max_steps);
+  } catch (const systest::BugFound& bug) {
+    out.bug_found = true;
+    out.bug_kind = bug.Kind();
+    out.bug_message = bug.what();
+  }
+  out.log = rt.Log();
+  out.trace = rt.GetTrace();
+  out.steps = rt.Steps();
+  out.faults = rt.GetFaultStats();
+  return out;
+}
+
+/// Replays `trace` with a fault-free config and compares every observable
+/// against the hand-built reference.
+void ExpectReplayMatchesReference(std::uint64_t max_steps,
+                                  const systest::Harness& harness,
+                                  const Trace& trace) {
+  const ReferenceReplay want = ReplayByHand(max_steps, harness, trace);
+  TestConfig config;
+  config.max_steps = max_steps;
+  const TestReport got = TestingEngine(config, harness).Replay(trace);
+  EXPECT_EQ(got.bug_found, want.bug_found);
+  EXPECT_EQ(got.bug_kind, want.bug_kind);
+  EXPECT_EQ(got.bug_message, want.bug_message);
+  EXPECT_FALSE(got.execution_log.empty());
+  EXPECT_EQ(got.execution_log, want.log);
+  EXPECT_EQ(got.bug_trace, want.trace);
+  EXPECT_EQ(got.total_steps, want.steps);
+  EXPECT_EQ(got.injected_faults, want.faults);
+  EXPECT_EQ(got.faults, want.faults.Total() > 0);
+  if (want.bug_found) {
+    EXPECT_EQ(got.bug_steps, want.steps);
+    EXPECT_EQ(got.ndc, want.trace.Size());
+  }
+}
+
+/// First execution trace (bug or not) of a `config` run that `accept`s.
+Trace FirstTrace(const TestConfig& config, const systest::Harness& harness,
+                 const std::function<bool(const Trace&)>& accept) {
+  Trace found;
+  TestingEngine engine(config, harness);
+  engine.SetIterationCallback(
+      [&](std::uint64_t, const systest::ExecutionResult& result) {
+        if (found.Empty() && accept(result.trace)) {
+          found = result.trace;
+        }
+      });
+  (void)engine.Run();
+  return found;
+}
+
+TEST(ReplayEquivalence, CleanTraceMatchesHandBuiltRuntime) {
+  const systest::Harness clean = [](systest::Runtime& rt) {
+    auto referee = rt.CreateMachine<Referee>("Referee");
+    rt.CreateMachine<Racer>("Racer1", referee, 1);
+  };
+  TestConfig config;
+  config.iterations = 1;
+  config.seed = 3;
+  const Trace trace =
+      FirstTrace(config, clean, [](const Trace& t) { return !t.Empty(); });
+  ASSERT_FALSE(trace.Empty());
+  ExpectReplayMatchesReference(config.max_steps, clean, trace);
+}
+
+TEST(ReplayEquivalence, SafetyBugTraceMatchesHandBuiltRuntime) {
+  TestConfig config;
+  config.iterations = 1'000;
+  config.seed = 7;
+  const TestReport report = TestingEngine(config, RaceHarness()).Run();
+  ASSERT_TRUE(report.bug_found);
+  ASSERT_EQ(report.bug_kind, BugKind::kSafety);
+  ExpectReplayMatchesReference(config.max_steps, RaceHarness(),
+                               report.bug_trace);
+}
+
+TEST(ReplayEquivalence, CrashAndPartitionTraceMatchesHandBuiltRuntime) {
+  samplerepl::HarnessOptions hopts;
+  hopts.crashable_nodes = true;
+  hopts.partitionable_nodes = true;
+  hopts.liveness_monitor = false;
+  const systest::Harness harness = samplerepl::MakeHarness(hopts);
+  TestConfig config = samplerepl::DefaultConfig();
+  config.iterations = 200;
+  config.stop_on_first_bug = false;
+  config.max_crashes = 1;
+  config.max_restarts = 1;
+  config.max_partitions = 1;
+  const Trace trace = FirstTrace(config, harness, [](const Trace& t) {
+    bool crashed = false;
+    for (const systest::Decision& d : t.Decisions()) {
+      crashed = crashed || d.kind == systest::Decision::Kind::kCrash;
+    }
+    return crashed && t.HasPartitionDecisions();
+  });
+  ASSERT_FALSE(trace.Empty()) << "no execution drew a crash and a partition";
+  EXPECT_EQ(trace.Serialize().rfind("systest-trace v3 ", 0), 0u);
+  ExpectReplayMatchesReference(config.max_steps, harness, trace);
 }
 
 // ---------------------------------------------------------------------------

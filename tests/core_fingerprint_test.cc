@@ -569,7 +569,8 @@ TEST(VisitedSets, FingerprintSetInsertAndFreeze) {
 }
 
 TEST(VisitedSets, ShardedSetMatchesSerialSemantics) {
-  systest::explore::ShardedFingerprintSet set(1024);
+  systest::explore::ShardedFingerprintSet set(
+      systest::TieredOptions{1024, 1024, std::string{}});
   for (Fingerprint fp = 0; fp < 300; ++fp) {
     EXPECT_TRUE(set.Insert(fp * 0x9e3779b97f4a7c15ull));
   }

@@ -14,6 +14,7 @@
 
 #include "api/scenario_registry.h"
 #include "api/strategy_registry.h"
+#include "core/event_arena.h"
 #include "core/systest.h"
 #include "samplerepl/harness.h"
 
@@ -260,6 +261,22 @@ TEST(RecycleTest, NonReusableMachineVetoesTheSeal) {
   const BudgetOutcome recycled = RunRecycled(config, harness, 20);
   EXPECT_FALSE(recycled.recycled);
   ExpectBitForBit(recycled, RunFresh(config, harness, 20));
+
+  // The vetoed runner still serves every fresh execution's events from its
+  // arena (one epoch per Runtime), not from the global heap.
+  const auto strategy = systest::StrategyRegistry::Instance().Create(
+      config.strategy, config.seed, config.strategy_budget);
+  ExecutionRunner runner(config, harness, *strategy, nullptr);
+  (void)runner.RunOne(0, nullptr);  // the probe: seal vetoed
+  ASSERT_FALSE(runner.Recycling());
+  const std::uint64_t before =
+      systest::detail::ThreadEventAllocStats().arena_allocations;
+  for (std::uint64_t i = 1; i < 20; ++i) {
+    (void)runner.RunOne(i, nullptr);
+  }
+  EXPECT_GE(systest::detail::ThreadEventAllocStats().arena_allocations,
+            before + 19)
+      << "each fresh execution sends at least one event";
 }
 
 /// Reusable machine that creates a fresh child machine mid-execution every
