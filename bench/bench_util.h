@@ -1,13 +1,15 @@
-// Shared helpers for the SysTest benches: runs a harness under a scheduler
-// with the paper's 100,000-execution budget and prints Table 2-style rows
-// (BF?, time-to-bug in seconds, #NDC — the number of nondeterministic
-// choices in the first execution that found the bug).
+// Shared helpers for the SysTest paper-artifact benches (table2_*,
+// ablations, metrics_overhead): runs a harness under a scheduler with the
+// paper's 100,000-execution budget and prints Table 2-style rows (BF?,
+// time-to-bug in seconds, #NDC — the number of nondeterministic choices in
+// the first execution that found the bug).
 //
-// Every non-gbench bench accepts a `--json` flag (see ParseArgs): instead of
-// the human-readable table it then emits one JSON object per row of the form
+// Every bench built on these helpers accepts a `--json` flag (see
+// ParseArgs): instead of the human-readable table it then emits one JSON
+// object per row of the form
 //   {"bench":..., "executions_per_sec":..., "steps_per_sec":..., "config":...}
-// which is the line format collected in BENCH_baseline.json and by the CI
-// perf-smoke job.
+// the line format of the frozen BENCH_pr*.json files. Throughput is measured
+// by the repository benchmark, perfbench/.
 #pragma once
 
 #include <cstdio>
@@ -22,15 +24,6 @@
 #include "core/systest.h"
 
 namespace bench {
-
-struct RowResult {
-  bool found = false;
-  double seconds = 0.0;
-  std::uint64_t ndc = 0;
-  std::uint64_t executions = 0;
-  double executions_per_sec = 0.0;
-  double steps_per_sec = 0.0;
-};
 
 /// Global output mode toggled by --json on any bench command line.
 inline bool& JsonMode() {
@@ -66,17 +59,12 @@ inline std::string HardwareDescription() {
 }
 
 /// Emits one machine-readable result line (see header comment).
-/// `extra_fields` is raw JSON injected as additional TOP-LEVEL fields (e.g.
-/// "\"hit_rate\":0.39") so tools/bench_compare.py can track bench-specific
-/// metrics without parsing the free-form config string; empty adds nothing.
 inline void EmitJson(const std::string& name, double executions_per_sec,
-                     double steps_per_sec, const std::string& config,
-                     const std::string& extra_fields = std::string()) {
+                     double steps_per_sec, const std::string& config) {
   std::printf(
       "{\"bench\":\"%s\",\"executions_per_sec\":%.1f,"
-      "\"steps_per_sec\":%.1f,%s%s\"config\":\"%s %s\"}\n",
-      name.c_str(), executions_per_sec, steps_per_sec, extra_fields.c_str(),
-      extra_fields.empty() ? "" : ",", config.c_str(),
+      "\"steps_per_sec\":%.1f,\"config\":\"%s %s\"}\n",
+      name.c_str(), executions_per_sec, steps_per_sec, config.c_str(),
       HardwareDescription().c_str());
   std::fflush(stdout);
 }
@@ -90,28 +78,21 @@ inline std::string DescribeConfig(const systest::TestConfig& config) {
 }
 
 /// Runs `harness` under `config` and prints one Table 2-style row (or one
-/// JSON line in --json mode).
-inline RowResult RunRow(const std::string& label,
-                        const systest::TestConfig& config,
-                        const systest::Harness& harness) {
+/// JSON line in --json mode). Returns whether the row found its bug.
+inline bool RunRow(const std::string& label, const systest::TestConfig& config,
+                   const systest::Harness& harness) {
   systest::TestingEngine engine(config, harness);
   const systest::TestReport report = engine.Run();
-  RowResult row;
-  row.found = report.bug_found;
-  row.seconds = report.seconds_to_bug;
-  row.ndc = report.ndc;
-  row.executions = report.executions;
-  if (report.total_seconds > 0) {
-    row.executions_per_sec =
-        static_cast<double>(report.executions) / report.total_seconds;
-    row.steps_per_sec =
-        static_cast<double>(report.total_steps) / report.total_seconds;
-  }
   if (JsonMode()) {
-    EmitJson(label, row.executions_per_sec, row.steps_per_sec,
+    const double seconds = report.total_seconds;
+    EmitJson(label,
+             seconds > 0 ? static_cast<double>(report.executions) / seconds
+                         : 0.0,
+             seconds > 0 ? static_cast<double>(report.total_steps) / seconds
+                         : 0.0,
              DescribeConfig(config) +
                  (report.bug_found ? " bug_found=1" : " bug_found=0"));
-    return row;
+    return report.bug_found;
   }
   if (report.bug_found) {
     std::printf("  %-42s  %-3s  %10.3f  %8llu   (iteration %llu)\n",
@@ -124,7 +105,7 @@ inline RowResult RunRow(const std::string& label,
                 static_cast<unsigned long long>(report.executions));
   }
   std::fflush(stdout);
-  return row;
+  return report.bug_found;
 }
 
 inline void PrintHeader(const std::string& title) {

@@ -74,8 +74,8 @@ struct Measurement {
   double exec_per_sec = 0.0;
 };
 
-/// Raw Runtime stepping with an optional probe attached, mirroring
-/// micro_steps' pingpong loop so the off numbers are comparable.
+/// Raw Runtime stepping on a two-machine pingpong rally, with an optional
+/// probe attached.
 Measurement RunPingPong(std::uint64_t executions, bool metrics_on) {
   const int rounds = 1'000;
   systest::obs::MetricsRegistry registry;

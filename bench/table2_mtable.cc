@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
     for (const mtable::MTableBugId id : mtable::kAllMTableBugs) {
       mtable::MigrationHarnessOptions options;
       options.bugs = EnableBug(id);
-      const bench::RowResult row =
+      const bool found =
           bench::RunRow(std::string(ToString(id)), Config(strategy),
                         mtable::MakeMigrationHarness(options));
-      if (!row.found && id == mtable::MTableBugId::kDeletePrimaryKey) {
+      if (!found && id == mtable::MTableBugId::kDeletePrimaryKey) {
         options.scripts = DeletePrimaryKeyScript();
         options.num_services = 1;
         bench::RunRow("custom:" + std::string(ToString(id)), Config(strategy),

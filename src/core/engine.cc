@@ -170,38 +170,30 @@ TieredOptions MakeVisitedOptions(const TestConfig& config) {
 
 namespace {
 
-/// The scheduling loop of StepToCompletion, entered AFTER the world is set
-/// up — by the harness on a fresh Runtime, or by ResetForNextExecution on a
-/// recycled one. Both entry points run the identical loop so recycling
-/// cannot change semantics.
-bool StepFromSetup(Runtime& runtime, std::uint64_t max_steps) {
-  while (runtime.Steps() < max_steps) {
-    if (!runtime.Step()) {
-      runtime.CheckTermination(/*hit_bound=*/false);
-      return false;
-    }
-  }
-  runtime.CheckTermination(/*hit_bound=*/true);
-  return true;
-}
-
-/// Stateful variant of StepFromSetup: after every step the post-step
-/// fingerprint is recorded in `visited`; once the execution has spent
-/// kFingerprintPruneRun consecutive steps in already-visited states it is
-/// pruned (result.pruned) — the schedule has reconverged to territory a
-/// prior execution already explored. Pruned executions skip the quiescence /
-/// bounded-liveness property checks: they did not actually terminate.
-bool StepFromSetupStateful(Runtime& runtime, std::uint64_t max_steps,
-                           std::uint64_t prune_run,
-                           std::uint64_t prune_holdoff, VisitedSet& visited,
-                           ExecutionResult& result) {
+/// The scheduling loop, entered AFTER the world is set up: by the harness on
+/// a fresh Runtime, or by ResetForNextExecution on a recycled one. Every
+/// entry point runs this one loop, so recycling cannot change semantics.
+/// Returns true if the step bound was hit.
+///
+/// A null `visited` means stateless. Otherwise the post-setup and every
+/// post-step fingerprint is recorded in `visited` (counted in `result`);
+/// once the execution has spent `prune_run` consecutive steps in
+/// already-visited states it is pruned (result.pruned): the schedule has
+/// reconverged to territory a prior execution already explored. Pruned
+/// executions skip the quiescence / bounded-liveness property checks: they
+/// did not actually terminate.
+bool StepFromSetup(Runtime& runtime, std::uint64_t max_steps,
+                   VisitedSet* visited, std::uint64_t prune_run,
+                   std::uint64_t prune_holdoff, ExecutionResult& result) {
   // The post-setup initial state counts as visited too (every execution of a
   // deterministic harness revisits it), but never prunes by itself: the
   // known-run counter only accumulates across scheduling steps.
-  if (visited.Insert(runtime.ExecutionFingerprint())) {
-    ++result.fingerprint_misses;
-  } else {
-    ++result.fingerprint_hits;
+  if (visited != nullptr) {
+    if (visited->Insert(runtime.ExecutionFingerprint())) {
+      ++result.fingerprint_misses;
+    } else {
+      ++result.fingerprint_hits;
+    }
   }
   std::uint64_t known_run = 0;
   while (runtime.Steps() < max_steps) {
@@ -209,7 +201,10 @@ bool StepFromSetupStateful(Runtime& runtime, std::uint64_t max_steps,
       runtime.CheckTermination(/*hit_bound=*/false);
       return false;
     }
-    if (visited.Insert(runtime.ExecutionFingerprint())) {
+    if (visited == nullptr) {
+      continue;
+    }
+    if (visited->Insert(runtime.ExecutionFingerprint())) {
       ++result.fingerprint_misses;
       known_run = 0;
     } else {
@@ -228,22 +223,14 @@ bool StepFromSetupStateful(Runtime& runtime, std::uint64_t max_steps,
   return true;
 }
 
-bool StepToCompletionStateful(Runtime& runtime, const Harness& harness,
-                              std::uint64_t max_steps,
-                              std::uint64_t prune_run,
-                              std::uint64_t prune_holdoff, VisitedSet& visited,
-                              ExecutionResult& result) {
-  harness(runtime);
-  return StepFromSetupStateful(runtime, max_steps, prune_run, prune_holdoff,
-                               visited, result);
-}
-
 }  // namespace
 
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps) {
   harness(runtime);
-  return StepFromSetup(runtime, max_steps);
+  ExecutionResult unused;
+  return StepFromSetup(runtime, max_steps, /*visited=*/nullptr,
+                       /*prune_run=*/0, /*prune_holdoff=*/0, unused);
 }
 
 ExecutionResult RunOneExecution(const TestConfig& config,
@@ -266,14 +253,10 @@ ExecutionResult RunOneExecution(const TestConfig& config,
   }
   Runtime runtime(strategy, options);
   try {
-    if (config.stateful && visited != nullptr) {
-      result.hit_step_bound = StepToCompletionStateful(
-          runtime, harness, config.max_steps, config.prune_run,
-          strategy.PruneHoldoffSteps(), *visited, result);
-    } else {
-      result.hit_step_bound =
-          StepToCompletion(runtime, harness, config.max_steps);
-    }
+    harness(runtime);
+    result.hit_step_bound = StepFromSetup(
+        runtime, config.max_steps, config.stateful ? visited : nullptr,
+        config.prune_run, strategy.PruneHoldoffSteps(), result);
   } catch (const BugFound& bug) {
     result.bug_found = true;
     result.bug_kind = bug.Kind();
@@ -350,13 +333,9 @@ void ExecutionRunner::RunBody(Runtime& runtime, bool run_harness,
       mode_ = (!options_.logging && runtime.SealForReuse()) ? Mode::kRecycling
                                                             : Mode::kFresh;
     }
-    if (config_.stateful && visited != nullptr) {
-      result.hit_step_bound = StepFromSetupStateful(
-          runtime, config_.max_steps, config_.prune_run,
-          strategy_.PruneHoldoffSteps(), *visited, result);
-    } else {
-      result.hit_step_bound = StepFromSetup(runtime, config_.max_steps);
-    }
+    result.hit_step_bound = StepFromSetup(
+        runtime, config_.max_steps, config_.stateful ? visited : nullptr,
+        config_.prune_run, strategy_.PruneHoldoffSteps(), result);
   } catch (const BugFound& bug) {
     result.bug_found = true;
     result.bug_kind = bug.Kind();

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/systest.h"
@@ -150,6 +151,12 @@ class ScriptedFaultStrategy final : public systest::SchedulingStrategy {
   }
   [[nodiscard]] std::string Name() const override { return "scripted-fault"; }
 
+  // Takes the script by value and moves it in: g++ 12 -Wnonnull misfires
+  // on std::vector copy-assignment from an initializer list.
+  void SetStepFaults(std::vector<StepFault> faults) {
+    step_faults = std::move(faults);
+  }
+
   std::vector<StepFault> step_faults;
   std::vector<DeliveryScript> delivery_faults;
 
@@ -179,7 +186,7 @@ Prober& ProberAt(Runtime& rt, std::uint64_t id) {
 
 TEST(FaultPlane, CrashWipesQueueAndDisablesMachine) {
   ScriptedFaultStrategy strategy;
-  strategy.step_faults = {{0, FaultDecision::Kind::kCrash, MachineId{1}}};
+  strategy.SetStepFaults({{0, FaultDecision::Kind::kCrash, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   Runtime rt(strategy, options);
@@ -199,7 +206,7 @@ TEST(FaultPlane, CrashWipesQueueAndDisablesMachine) {
 
 TEST(FaultPlane, DeliveriesToCrashedMachineAreDropped) {
   ScriptedFaultStrategy strategy;
-  strategy.step_faults = {{0, FaultDecision::Kind::kCrash, MachineId{1}}};
+  strategy.SetStepFaults({{0, FaultDecision::Kind::kCrash, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   Runtime rt(strategy, options);
@@ -213,8 +220,8 @@ TEST(FaultPlane, DeliveriesToCrashedMachineAreDropped) {
 
 TEST(FaultPlane, RestartRunsStartEntryWithDurableState) {
   ScriptedFaultStrategy strategy;
-  strategy.step_faults = {{2, FaultDecision::Kind::kCrash, MachineId{1}},
-                          {4, FaultDecision::Kind::kRestart, MachineId{1}}};
+  strategy.SetStepFaults({{2, FaultDecision::Kind::kCrash, MachineId{1}},
+                          {4, FaultDecision::Kind::kRestart, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   options.max_restarts = 1;
@@ -238,7 +245,7 @@ TEST(FaultPlane, OnCrashSeparatesVolatileFromDurableState) {
   ScriptedFaultStrategy strategy;
   // Steps 0/1 start A and B; step 2 lets A handle one ping; the crash lands
   // at the step-3 boundary with state to lose.
-  strategy.step_faults = {{3, FaultDecision::Kind::kCrash, MachineId{1}}};
+  strategy.SetStepFaults({{3, FaultDecision::Kind::kCrash, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   Runtime rt(strategy, options);
@@ -406,8 +413,8 @@ TEST(FaultPlane, SelfSendsAndHarnessSendsAreExempt) {
 
 TEST(FaultPlane, FaultDecisionsRecordedAndSerializedAsV2) {
   ScriptedFaultStrategy strategy;
-  strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}},
-                          {3, FaultDecision::Kind::kRestart, MachineId{1}}};
+  strategy.SetStepFaults({{1, FaultDecision::Kind::kCrash, MachineId{1}},
+                          {3, FaultDecision::Kind::kRestart, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   options.max_restarts = 1;
@@ -548,7 +555,7 @@ TEST(FaultPlane, CrashChangesExecutionFingerprint) {
   auto run_to = [](bool crash, std::uint64_t steps) {
     ScriptedFaultStrategy strategy;
     if (crash) {
-      strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}}};
+      strategy.SetStepFaults({{1, FaultDecision::Kind::kCrash, MachineId{1}}});
     }
     RuntimeOptions options;
     options.max_crashes = 1;  // SAME options both runs: budget hash aligned
@@ -564,8 +571,8 @@ TEST(FaultPlane, CrashChangesExecutionFingerprint) {
 
 TEST(FaultPlane, IncrementalFingerprintMatchesRecomputeUnderFaults) {
   ScriptedFaultStrategy strategy;
-  strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}},
-                          {3, FaultDecision::Kind::kRestart, MachineId{1}}};
+  strategy.SetStepFaults({{1, FaultDecision::Kind::kCrash, MachineId{1}},
+                          {3, FaultDecision::Kind::kRestart, MachineId{1}}});
   RuntimeOptions options;
   options.max_crashes = 1;
   options.max_restarts = 1;

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/systest.h"
@@ -198,6 +199,12 @@ class ScriptedPartitionStrategy final : public systest::SchedulingStrategy {
   }
   [[nodiscard]] std::string Name() const override { return "scripted-part"; }
 
+  // Takes the script by value and moves it in: g++ 12 -Wnonnull misfires
+  // on std::vector copy-assignment from an initializer list.
+  void SetStepFaults(std::vector<StepFault> faults) {
+    step_faults = std::move(faults);
+  }
+
   std::vector<StepFault> step_faults;
 
  private:
@@ -222,7 +229,7 @@ Pacer& PacerAt(Runtime& rt) {
 
 TEST(PartitionPlane, UnhealedPartitionDropsAllTrafficButMachineKeepsRunning) {
   ScriptedPartitionStrategy strategy;
-  strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}}};
+  strategy.SetStepFaults({{0, FaultDecision::Kind::kPartition, MachineId{1}}});
   RuntimeOptions options;
   options.max_partitions = 1;
   Runtime rt(strategy, options);
@@ -242,8 +249,8 @@ TEST(PartitionPlane, UnhealedPartitionDropsAllTrafficButMachineKeepsRunning) {
 
 TEST(PartitionPlane, HealRestoresDeliveryAfterTheIsolationWindow) {
   ScriptedPartitionStrategy strategy;
-  strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}},
-                          {3, FaultDecision::Kind::kHeal, MachineId{1}}};
+  strategy.SetStepFaults({{0, FaultDecision::Kind::kPartition, MachineId{1}},
+                          {3, FaultDecision::Kind::kHeal, MachineId{1}}});
   RuntimeOptions options;
   options.max_partitions = 1;
   Runtime rt(strategy, options);
@@ -329,8 +336,8 @@ TEST(PartitionPlane, PartitionChangesExecutionFingerprint) {
   auto run_to = [](bool partition, std::uint64_t steps) {
     ScriptedPartitionStrategy strategy;
     if (partition) {
-      strategy.step_faults = {
-          {1, FaultDecision::Kind::kPartition, MachineId{1}}};
+      strategy.SetStepFaults({
+          {1, FaultDecision::Kind::kPartition, MachineId{1}}});
     }
     RuntimeOptions options;
     options.max_partitions = 1;  // SAME options both runs: budgets aligned
@@ -346,8 +353,8 @@ TEST(PartitionPlane, PartitionChangesExecutionFingerprint) {
 
 TEST(PartitionPlane, IncrementalFingerprintMatchesRecomputeUnderPartitions) {
   ScriptedPartitionStrategy strategy;
-  strategy.step_faults = {{1, FaultDecision::Kind::kPartition, MachineId{1}},
-                          {4, FaultDecision::Kind::kHeal, MachineId{1}}};
+  strategy.SetStepFaults({{1, FaultDecision::Kind::kPartition, MachineId{1}},
+                          {4, FaultDecision::Kind::kHeal, MachineId{1}}});
   RuntimeOptions options;
   options.max_partitions = 1;
   options.stateful = true;
@@ -427,7 +434,7 @@ TEST(FaultPlacement, UnarmedStrategyKeepsGeometricPlacement) {
   // strategy) keeps its own NextFault behavior untouched.
   ScriptedPartitionStrategy strategy;
   strategy.SetFaultPlacementPoints(4);
-  strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}}};
+  strategy.SetStepFaults({{0, FaultDecision::Kind::kPartition, MachineId{1}}});
   RuntimeOptions options;
   options.max_partitions = 1;
   Runtime rt(strategy, options);
@@ -475,8 +482,8 @@ TEST(PartitionPlane, PartitionScheduleReplaysFromTheTraceAlone) {
   int recorded_pings = 0;
   {
     ScriptedPartitionStrategy strategy;
-    strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}},
-                            {3, FaultDecision::Kind::kHeal, MachineId{1}}};
+    strategy.SetStepFaults({{0, FaultDecision::Kind::kPartition, MachineId{1}},
+                            {3, FaultDecision::Kind::kHeal, MachineId{1}}});
     RuntimeOptions options;
     options.max_partitions = 1;
     Runtime rt(strategy, options);

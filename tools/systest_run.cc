@@ -109,7 +109,11 @@ void PrintUsage(const char* argv0) {
       "                     pct(5)), or portfolio to race the rotation\n"
       "  --threads <n>      worker threads (default: serial engine;\n"
       "                     portfolio defaults to max(6, hardware threads))\n"
-      "  --seed <n>         base seed (default: scenario default)\n"
+      "  --seed <n>         base seed (default: scenario default). Execution\n"
+      "                     i of base seed s runs SplitMix64(s + i), so base\n"
+      "                     seeds s and s+k share all but k executions; for\n"
+      "                     independent runs, derive the base seeds through\n"
+      "                     SplitMix64 instead of counting up\n"
       "  --iterations <n>   total execution budget, sharded across workers\n"
       "  --max-steps <n>    per-execution scheduling step bound\n"
       "  --budget <n>       PCT priority change points / delay budget\n"
