@@ -80,7 +80,8 @@ struct TestConfig {
   std::uint64_t max_visited = 1u << 20;
   /// With stateful: capacity of the exact in-memory HOT level. When the hot
   /// level fills, its fingerprints compact into an immutable sorted run
-  /// behind a bloom filter (core/fingerprint.h) and the hot level restarts.
+  /// behind the back level's bloom filter (core/fingerprint.h) and the hot
+  /// level restarts.
   /// The default equals the max_visited default, so out of the box nothing
   /// ever compacts and behavior is identical to the historical flat set;
   /// raising max_visited into the hundreds of millions while keeping
@@ -88,7 +89,7 @@ struct TestConfig {
   std::uint64_t max_visited_hot = 1u << 20;
   /// With stateful: when non-empty, compacted runs are written to this
   /// directory as raw 64-bit files and mapped back read-only, so the back
-  /// level's RAM footprint is its bloom filters (~1.5 bytes/state) rather
+  /// level's RAM footprint is its bloom filter (~1.5 bytes/state) rather
   /// than the full runs. Files are private to the run and unlinked when the
   /// set is destroyed. Empty = runs stay in memory.
   std::string visited_spill_dir;

@@ -19,17 +19,25 @@
 // Visited-set implementations, smallest to largest:
 //   - FingerprintSet: the original capped flat set (kept for tests and as
 //     the semantic reference — the tiered set must answer identically).
-//   - TieredFingerprintSet: two levels. An exact bounded HOT level (open
-//     addressing over raw 64-bit fingerprints) absorbs all inserts; when it
-//     fills, its contents COMPACT into an immutable sorted run fronted by a
-//     blocked bloom filter, and the hot level starts over. Runs merge k-way
-//     as they accumulate and can spill to mmap-able files on disk, so
-//     hundreds of millions of fingerprints fit without the honest hit rate
-//     collapsing at the old flat cap. Because entries are already 64-bit
-//     fingerprints, back-level membership stays EXACT: a bloom negative
-//     skips the run, a bloom positive binary-searches it — the filter only
-//     saves probes, it never changes an answer, so pruning soundness is
-//     identical to the flat set (pinned by tests/core_visited_tiered_test.cc).
+//   - TieredFingerprintSet: two levels over REMIXED keys (the fingerprint
+//     times an odd constant, a bijection, so a key identifies a state
+//     exactly as its fingerprint does). An exact bounded HOT level (open addressing indexed by
+//     the key's top bits) absorbs all inserts; when it fills, it drains in
+//     slot order — already sorted up to local probe displacement, which an
+//     insertion pass fixes, so no comparison sort runs — into an immutable
+//     sorted run, and the hot level starts over. Runs merge k-way as they
+//     accumulate and can spill to mmap-able files on disk, so hundreds of
+//     millions of fingerprints fit without the honest hit rate collapsing
+//     at the old flat cap. ONE blocked bloom filter covers the whole back
+//     level (~12 bits per key, grown by rebuilding at 1.5x; compaction only
+//     adds the new run's keys), so a novel state costs its hot slot plus one
+//     filter cache line however many runs are live. With the runs spilled,
+//     that filter (~1.5 bytes/key) is the back level's whole memory
+//     footprint. Because keys are exact, back-level membership stays EXACT:
+//     a filter negative skips the runs, a filter positive binary-searches
+//     them newest first — the filter only saves probes, it never changes an
+//     answer, so pruning soundness is identical to the flat set (pinned by
+//     tests/core_visited_tiered_test.cc).
 //   - explore::ShardedFingerprintSet: 64 independently locked shards, each a
 //     TieredFingerprintSet, for parallel workers (explore/).
 #pragma once
@@ -97,9 +105,9 @@ inline constexpr std::uint64_t kFingerprintPruneRun = 8;
 struct VisitedStats {
   // Probe traffic (cumulative).
   std::uint64_t hot_hits = 0;        ///< probes answered by the hot level
-  std::uint64_t run_probes = 0;      ///< binary searches (bloom positives)
-  std::uint64_t bloom_true_positives = 0;   ///< run probe found the state
-  std::uint64_t bloom_false_positives = 0;  ///< run probe missed (bloom lied)
+  std::uint64_t run_probes = 0;      ///< back-level filter positives
+  std::uint64_t bloom_true_positives = 0;   ///< a run held the state
+  std::uint64_t bloom_false_positives = 0;  ///< no run did (filter lied)
   // Maintenance (cumulative).
   std::uint64_t compactions = 0;     ///< hot level flushed into a new run
   std::uint64_t merges = 0;          ///< k-way run merges
@@ -172,38 +180,41 @@ class FingerprintSet final : public VisitedSet {
 
 namespace detail {
 
-/// The hot level: open-addressing (linear probe) set of raw 64-bit
-/// fingerprints, power-of-two table, 0 reserved as the empty slot (a real
-/// zero fingerprint is tracked in a side flag). The table grows by doubling
-/// up to the configured hot capacity's load ceiling, then the owner compacts
-/// it away — Clear() keeps the allocation, so steady-state compaction cycles
+/// The hot level: open-addressing (linear probe) set of remixed 64-bit keys
+/// (see TieredFingerprintSet), power-of-two table indexed by the key's TOP
+/// bits, 0 reserved as the empty slot (a real zero key is tracked in a side
+/// flag). Because the index is a prefix of the key, slot order is key order
+/// up to probe displacement inside a cluster, so AppendSorted drains the
+/// table sorted without a comparison sort. The table grows by doubling up to
+/// the configured hot capacity's load ceiling, then the owner compacts it
+/// away — Clear() keeps the allocation, so steady-state compaction cycles
 /// allocate nothing.
 class HotFingerprintTable {
  public:
   HotFingerprintTable() { Rehash(kInitialCapacity); }
 
-  [[nodiscard]] bool Contains(Fingerprint fp) const noexcept {
-    if (fp == 0) return has_zero_;
-    std::size_t i = IndexOf(fp);
+  [[nodiscard]] bool Contains(std::uint64_t key) const noexcept {
+    if (key == 0) return has_zero_;
+    std::size_t i = IndexOf(key);
     while (true) {
-      const Fingerprint slot = slots_[i];
-      if (slot == fp) return true;
+      const std::uint64_t slot = slots_[i];
+      if (slot == key) return true;
       if (slot == 0) return false;
       i = (i + 1) & mask_;
     }
   }
 
-  /// Pre-condition: !Contains(fp).
-  void Insert(Fingerprint fp) {
-    if (fp == 0) {
+  /// Pre-condition: !Contains(key).
+  void Insert(std::uint64_t key) {
+    if (key == 0) {
       has_zero_ = true;
       ++size_;
       return;
     }
     if ((size_ + 1) * 8 >= (mask_ + 1) * 7) Rehash((mask_ + 1) * 2);
-    std::size_t i = IndexOf(fp);
+    std::size_t i = IndexOf(key);
     while (slots_[i] != 0) i = (i + 1) & mask_;
-    slots_[i] = fp;
+    slots_[i] = key;
     ++size_;
   }
 
@@ -216,62 +227,57 @@ class HotFingerprintTable {
     size_ = 0;
   }
 
-  /// Drains the contents into `out` (appended, unsorted).
-  void AppendTo(std::vector<Fingerprint>& out) const {
-    if (has_zero_) out.push_back(0);
-    for (const Fingerprint slot : slots_) {
-      if (slot != 0) out.push_back(slot);
-    }
-  }
+  /// Appends the contents to `out` in ascending order.
+  void AppendSorted(std::vector<std::uint64_t>& out) const;
 
  private:
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  /// Fingerprints arrive well mixed, but the sharded wrapper consumes their
-  /// LOW bits for shard selection, so the index comes from the high bits of
-  /// a multiplicative remix — shard-mates don't all collide into one probe
-  /// chain.
-  [[nodiscard]] std::size_t IndexOf(Fingerprint fp) const noexcept {
-    return static_cast<std::size_t>((fp * 0x9e3779b97f4a7c15ull) >> shift_) &
-           mask_;
+  [[nodiscard]] std::size_t IndexOf(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(key >> shift_);
   }
 
-  void Rehash(std::size_t capacity) {
-    std::vector<Fingerprint> old = std::move(slots_);
-    slots_.assign(capacity, 0);
-    mask_ = capacity - 1;
-    shift_ = 32;  // take index bits from the middle-high word
-    for (const Fingerprint fp : old) {
-      if (fp == 0) continue;
-      std::size_t i = IndexOf(fp);
-      while (slots_[i] != 0) i = (i + 1) & mask_;
-      slots_[i] = fp;
-    }
-  }
+  void Rehash(std::size_t capacity);
 
-  std::vector<Fingerprint> slots_;
+  std::vector<std::uint64_t> slots_;
   std::size_t mask_ = 0;
-  int shift_ = 32;
+  int shift_ = 64;  ///< 64 - log2(capacity)
   std::size_t size_ = 0;
   bool has_zero_ = false;
 };
 
-/// Blocked bloom filter over one immutable run: 64-byte (cache-line) blocks,
-/// 7 bits per key inside one block, sized at ~12 bits/entry for a ~0.5%
-/// false-positive rate. A probe touches exactly one cache line, so the
-/// common back-level MISS costs one filter lookup per run instead of a
-/// binary search into (possibly disk-resident) run data.
-class BlockedBloom {
+/// Blocked bloom filter over the whole back level: 64-byte (cache-line)
+/// blocks, 7 bits per key inside one block, ~12 bits per key of capacity.
+/// The block is a multiply-high of the key over the exact block count, so
+/// the size need not round up to a power of two. A probe touches one cache
+/// line, so the common back-level MISS costs one line whatever the number
+/// of runs.
+class BackLevelFilter {
  public:
-  void Build(const Fingerprint* data, std::size_t n);
-  [[nodiscard]] bool MayContain(Fingerprint fp) const noexcept {
-    if (words_.empty()) return false;
-    const std::uint64_t h1 = fp * 0xc2b2ae3d27d4eb4full;
-    const std::uint64_t* block = words_.data() + (BlockIndex(h1) << 3);
-    std::uint64_t h2 = fp * 0x165667b19e3779f9ull;
+  /// Keys the filter is sized for.
+  [[nodiscard]] std::size_t Capacity() const noexcept { return capacity_; }
+
+  /// Releases the bit array, then allocates a cleared one sized for
+  /// `capacity` keys.
+  void Reset(std::size_t capacity);
+
+  void Add(std::uint64_t key) noexcept {
+    std::uint64_t* block = blocks_ + BlockOffset(key);
+    std::uint64_t bits = BitHash(key);
     for (int k = 0; k < kProbes; ++k) {
-      const unsigned bit = static_cast<unsigned>(h2 & 511u);
-      h2 >>= 9;
+      const unsigned bit = static_cast<unsigned>(bits >> 55);
+      bits <<= 9;
+      block[bit >> 6] |= 1ull << (bit & 63u);
+    }
+  }
+
+  [[nodiscard]] bool MayContain(std::uint64_t key) const noexcept {
+    if (block_count_ == 0) return false;
+    const std::uint64_t* block = blocks_ + BlockOffset(key);
+    std::uint64_t bits = BitHash(key);
+    for (int k = 0; k < kProbes; ++k) {
+      const unsigned bit = static_cast<unsigned>(bits >> 55);
+      bits <<= 9;
       if ((block[bit >> 6] & (1ull << (bit & 63u))) == 0) return false;
     }
     return true;
@@ -279,20 +285,31 @@ class BlockedBloom {
 
  private:
   static constexpr int kProbes = 7;
+  static constexpr std::size_t kBitsPerKey = 12;
+  static constexpr std::size_t kWordsPerBlock = 8;
 
-  /// Top block_bits_ bits of the remix hash. Split into two shifts because
-  /// block_bits_ may be 0 (one block) and a single >> 64 would be UB.
-  [[nodiscard]] std::uint64_t BlockIndex(std::uint64_t h1) const noexcept {
-    return (h1 >> 1) >> (63 - block_bits_);
+  [[nodiscard]] std::size_t BlockOffset(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(
+               (static_cast<unsigned __int128>(key) * block_count_) >> 64) *
+           kWordsPerBlock;
   }
 
-  std::vector<std::uint64_t> words_;  ///< 8 words (one cache line) per block
-  int block_bits_ = 0;                ///< log2(block count)
+  /// Bit positions come from the top of a second mix: the block already
+  /// consumed the key's top bits, and a product's high bits depend on every
+  /// bit of its input.
+  [[nodiscard]] static std::uint64_t BitHash(std::uint64_t key) noexcept {
+    return (key ^ (key >> 29)) * 0xbf58476d1ce4e5b9ull;
+  }
+
+  std::vector<std::uint64_t> words_;   ///< backing store, over-allocated
+  std::uint64_t* blocks_ = nullptr;    ///< words_ aligned up to 64 bytes
+  std::size_t block_count_ = 0;
+  std::size_t capacity_ = 0;
 };
 
-/// One immutable sorted run of fingerprints, optionally spilled to a file in
-/// the owner's spill directory and mapped back read-only. Membership is a
-/// bloom check then a binary search — exact either way.
+/// One immutable sorted run of keys, optionally spilled to a file in the
+/// owner's spill directory and mapped back read-only. Membership is a
+/// binary search — exact either way.
 class SortedRun {
  public:
   /// Takes ownership of `entries` (sorted, deduplicated). With a non-empty
@@ -300,26 +317,23 @@ class SortedRun {
   /// any I/O failure it silently stays in memory (correctness first, disk
   /// residency best-effort). `spilled_bytes` is bumped by the file size on
   /// a successful spill.
-  SortedRun(std::vector<Fingerprint> entries, const std::string& spill_dir,
+  SortedRun(std::vector<std::uint64_t> entries, const std::string& spill_dir,
             std::uint64_t& spilled_bytes);
   ~SortedRun();
   SortedRun(const SortedRun&) = delete;
   SortedRun& operator=(const SortedRun&) = delete;
 
-  [[nodiscard]] bool MayContain(Fingerprint fp) const noexcept {
-    return bloom_.MayContain(fp);
+  [[nodiscard]] bool Contains(std::uint64_t key) const noexcept {
+    return std::binary_search(data_, data_ + size_, key);
   }
-  [[nodiscard]] bool Contains(Fingerprint fp) const noexcept;
   [[nodiscard]] std::size_t Size() const noexcept { return size_; }
-  [[nodiscard]] const Fingerprint* Data() const noexcept { return data_; }
+  [[nodiscard]] const std::uint64_t* Data() const noexcept { return data_; }
   [[nodiscard]] bool Spilled() const noexcept { return map_ != nullptr; }
-  [[nodiscard]] const std::string& Path() const noexcept { return path_; }
 
  private:
-  std::vector<Fingerprint> mem_;      ///< empty once spilled
-  const Fingerprint* data_ = nullptr;
+  std::vector<std::uint64_t> mem_;    ///< empty once spilled
+  const std::uint64_t* data_ = nullptr;
   std::size_t size_ = 0;
-  BlockedBloom bloom_;
   void* map_ = nullptr;               ///< mmap base when spilled
   std::size_t map_bytes_ = 0;
   std::string path_;                  ///< spill file (unlinked on destruction)
@@ -340,7 +354,7 @@ struct TieredOptions {
   std::size_t hot_entries = 1u << 20;
   /// Non-empty: compacted/merged runs are written here as raw little-endian
   /// 64-bit files and mapped back read-only, so the back level's memory
-  /// footprint is the bloom filters (~1.5 bytes/entry), not the runs.
+  /// footprint is its filter (~1.5 bytes/entry), not the runs.
   std::string spill_dir;
 };
 
@@ -362,11 +376,20 @@ class TieredFingerprintSet final : public VisitedSet {
   static constexpr std::size_t kMaxRuns = 8;
 
  private:
-  [[nodiscard]] bool ProbeRuns(Fingerprint fp);
+  /// The stored key of a fingerprint. Multiplying by an odd constant is a
+  /// bijection, so a key identifies a state exactly; it moves low-bit
+  /// structure (small integers, one shard's residue class) into the top
+  /// bits that index the hot level and pick the filter block.
+  [[nodiscard]] static std::uint64_t Remix(Fingerprint fp) noexcept {
+    return fp * 0x9e3779b97f4a7c15ull;
+  }
+  /// Exact back-level membership: binary-searches the runs, newest first.
+  [[nodiscard]] bool InRuns(std::uint64_t key) const noexcept;
   void Compact();
 
   TieredOptions options_;
   detail::HotFingerprintTable hot_;
+  detail::BackLevelFilter filter_;  ///< over every run's keys
   std::vector<std::unique_ptr<detail::SortedRun>> runs_;
   std::size_t total_entries_ = 0;  ///< hot + runs (the value Size() reports)
   std::size_t run_entries_ = 0;

@@ -61,6 +61,10 @@ void Machine::Goto(std::string state) {
 bool Machine::NondetBool() { return Rt().ChooseBool(); }
 
 Fingerprint Machine::ComputeStateFingerprint(bool payloads) const {
+  return HashState(payloads, /*queue_from_lane=*/false);
+}
+
+Fingerprint Machine::HashState(bool payloads, bool queue_from_lane) const {
   StateHasher hasher;
   hasher.Mix(id_.value);
   // The crashed bit keeps a crashed machine distinct from a merely idle one
@@ -77,7 +81,11 @@ Fingerprint Machine::ComputeStateFingerprint(bool payloads) const {
   for (const EventTypeId type : waiting_types_) {
     hasher.Mix(type);
   }
-  queue_.HashTypesInto(hasher);
+  if (queue_from_lane) {
+    queue_.HashTypesFromLaneInto(hasher);
+  } else {
+    queue_.HashTypesInto(hasher);
+  }
   if (payloads) {
     FingerprintPayload(hasher);
   }
@@ -555,6 +563,7 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
   machines_.push_back(std::move(machine));
   const MachineId id = machines_.back()->id_;
   if (options_.stateful) {
+    machines_.back()->queue_.EnableHash();
     // The contribution is NOT hashed here but at the next fingerprint
     // refresh — after harness setup (or the creating step) has finished
     // initializing the machine, so post-Create mutations like SetPeer are
@@ -1107,7 +1116,8 @@ Fingerprint Runtime::ExecutionFingerprint() {
 Fingerprint Runtime::RecomputeExecutionFingerprint() const {
   Fingerprint world = 0;
   for (const auto& machine : machines_) {
-    world ^= machine->ComputeStateFingerprint(options_.fingerprint_payloads);
+    world ^= machine->HashState(options_.fingerprint_payloads,
+                                /*queue_from_lane=*/true);
   }
   return world ^ SharedStateFingerprint();
 }

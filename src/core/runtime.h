@@ -366,6 +366,12 @@ class Machine {
   [[noreturn]] void FailAssert(const std::string& message);
   [[noreturn]] void ThrowUnattached() const;
 
+  /// ComputeStateFingerprint; with `queue_from_lane` the inbox is hashed
+  /// from its type lane instead of its maintained lane hash (the
+  /// from-scratch path of Runtime::RecomputeExecutionFingerprint).
+  [[nodiscard]] Fingerprint HashState(bool payloads,
+                                      bool queue_from_lane) const;
+
   // Receive plumbing (used by the awaiters).
   void BeginReceive(std::initializer_list<EventTypeId> types);
   bool TryFulfillReceive();

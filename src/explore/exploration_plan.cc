@@ -57,12 +57,17 @@ std::vector<WorkerAssignment> PartitionBudget(const TestConfig& config,
 std::string WorkerAssignment::Describe() const {
   // Use the strategy's own display name so plan descriptions can never
   // drift from the names workers report.
-  std::string out = "w" + std::to_string(worker) + " " +
-                    StrategyRegistry::Instance()
-                        .Create(strategy, seed, strategy_budget)
-                        ->Name() +
-                    " seeds=[" + std::to_string(seed) + "," +
-                    std::to_string(seed + iterations) + ")";
+  std::string out = "w";
+  out += std::to_string(worker);
+  out += ' ';
+  out += StrategyRegistry::Instance()
+             .Create(strategy, seed, strategy_budget)
+             ->Name();
+  out += " seeds=[";
+  out += std::to_string(seed);
+  out += ',';
+  out += std::to_string(seed + iterations);
+  out += ')';
   if (FaultsEnabled()) {
     out += max_partitions > 0 ? " +faults +partitions" : " +faults";
   }

@@ -43,9 +43,11 @@ std::string BreakdownTable(const std::vector<WorkerReport>& workers) {
       "steps  bug\n";
   char line[160];
   for (const WorkerReport& w : workers) {
-    const std::string seeds =
-        "[" + std::to_string(w.assignment.seed) + "," +
-        std::to_string(w.assignment.seed + w.assignment.iterations) + ")";
+    std::string seeds = "[";
+    seeds += std::to_string(w.assignment.seed);
+    seeds += ',';
+    seeds += std::to_string(w.assignment.seed + w.assignment.iterations);
+    seeds += ')';
     std::snprintf(line, sizeof(line),
                   "  w%-5d  %-18s  %-20s  %10llu  %9llu  %s",
                   w.assignment.worker, w.strategy_name.c_str(), seeds.c_str(),

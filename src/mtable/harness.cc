@@ -112,7 +112,9 @@ systest::Harness MakeMigrationHarness(const MigrationHarnessOptions& options) {
         for (std::size_t i = 0; i < options.row_keys.size() && i < 2; ++i) {
           chaintable::TableRow row;
           row.key = {partition, options.row_keys[i]};
-          row.properties = {{"val", "v" + std::to_string(i)}};
+          std::string value = "v";
+          value += std::to_string(i);
+          row.properties = {{"val", std::move(value)}};
           initial.push_back(std::move(row));
         }
       }

@@ -67,7 +67,9 @@ ScriptedOp ServiceMachine::GenerateOp() {
   op.partition =
       static_cast<int>(NondetInt(options_.partitions.size()));
   op.row = static_cast<int>(NondetInt(options_.row_keys.size()));
-  op.value = "v" + std::to_string(NondetInt(options_.value_space));
+  std::string value = "v";
+  value += std::to_string(NondetInt(options_.value_space));
+  op.value = std::move(value);
   if (op.kind == ScriptedOp::Kind::kReplace ||
       op.kind == ScriptedOp::Kind::kDelete) {
     // ETag mode: match-any, or one of the stored slots (stale slots arise

@@ -343,14 +343,24 @@ void TablesMachine::OnVerify(const VerifyTables&) {
         } else {
           tr = &row;
         }
-        out += " " + tr->key.ToString() + "{";
-        for (const auto& [k, v] : tr->properties) out += k + "=" + v + ",";
-        out += "}";
+        out += ' ';
+        out += tr->key.ToString();
+        out += '{';
+        for (const auto& [k, v] : tr->properties) {
+          out += k;
+          out += '=';
+          out += v;
+          out += ',';
+        }
+        out += '}';
       }
       return out;
     };
-    Assert(false, "final verification failed: migrated =" + dump(merged) +
-                      " | reference =" + dump(rt_rows));
+    std::string message = "final verification failed: migrated =";
+    message += dump(merged);
+    message += " | reference =";
+    message += dump(rt_rows);
+    Assert(false, message);
   }
   verified_ = true;
   Notify<MigrationLivenessMonitor, NotifyVerified>();

@@ -112,10 +112,10 @@ TEST(MemoryTable, StridedEtagsStayInResidueClass) {
   InMemoryChainTable a(1, 3);
   InMemoryChainTable b(2, 3);
   for (int i = 0; i < 5; ++i) {
-    const auto wa = a.ExecuteWrite(
-        MakeWrite(WriteKind::kInsert, "P", "r" + std::to_string(i)));
-    const auto wb = b.ExecuteWrite(
-        MakeWrite(WriteKind::kInsert, "P", "r" + std::to_string(i)));
+    std::string row = "r";
+    row += std::to_string(i);
+    const auto wa = a.ExecuteWrite(MakeWrite(WriteKind::kInsert, "P", row));
+    const auto wb = b.ExecuteWrite(MakeWrite(WriteKind::kInsert, "P", row));
     EXPECT_EQ(wa.etag % 3, 1u);
     EXPECT_EQ(wb.etag % 3, 2u);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -178,43 +179,75 @@ TEST(EventQueue, FifoRemoveAtAndCompaction) {
   EXPECT_EQ(q.PopFront()->TypeId(), systest::EventTypeIdOf<RegOther>());
 }
 
+/// The lane hash recomputed from the model: the sum of (t_j + 1) * B^j over
+/// GF(2^61 - 1), by plain 128-bit remainders rather than the queue's
+/// Mersenne folding.
+std::uint64_t ReferenceLaneHash(const std::deque<const Event*>& model) {
+  constexpr unsigned __int128 kPrime = systest::detail::lane_hash::kPrime;
+  unsigned __int128 hash = 0;
+  unsigned __int128 power = 1;
+  for (const Event* ev : model) {
+    hash = (hash + (std::uint64_t{ev->TypeId()} + 1) * power) % kPrime;
+    power = power * systest::detail::lane_hash::kBase % kPrime;
+  }
+  return static_cast<std::uint64_t>(hash);
+}
+
 /// Asserts the queue's events, type lane and queue hash all match `model`.
 void ExpectQueueMatches(const systest::detail::EventQueue& q,
                         const std::deque<const Event*>& model) {
   ASSERT_EQ(q.Size(), model.size());
   ASSERT_EQ(q.Types().size(), model.size());
-  systest::StateHasher expected;
-  expected.Mix(model.size());
   for (std::size_t i = 0; i < model.size(); ++i) {
     ASSERT_EQ(q.begin()[i].get(), model[i]) << "event " << i;
     ASSERT_EQ(q.Types()[i], model[i]->TypeId()) << "type lane slot " << i;
-    expected.Mix(model[i]->TypeId());
   }
+  systest::StateHasher expected;
+  expected.Mix(model.size());
+  expected.Mix(ReferenceLaneHash(model));
   systest::StateHasher actual;
   q.HashTypesInto(actual);
   ASSERT_EQ(actual.Digest(), expected.Digest());
+  systest::StateHasher from_lane;
+  q.HashTypesFromLaneInto(from_lane);
+  ASSERT_EQ(from_lane.Digest(), expected.Digest());
 }
 
-TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
+std::unique_ptr<const Event> MakeKind(std::uint64_t kind) {
+  switch (kind) {
+    case 0:
+      return systest::MakeEvent<RegProbe>();
+    case 1:
+      return systest::MakeEvent<RegOther>();
+    default:
+      return systest::MakeEvent<RegThird>();
+  }
+}
+
+constexpr int kNeverHashed = -1;
+
+/// Drives a queue and a std::deque model through the same random
+/// push/pop/remove/clear sequence, checking them against each other after
+/// every operation. The lane hash is enabled before operation `enable_at`
+/// (0: from the start; otherwise at the first later point where the queue
+/// is non-empty, so EnableHash must seed H from queued events) or never.
+void ExpectQueueTracksModel(int enable_at) {
   using systest::detail::EventQueue;
-  const std::array<systest::EventTypeId, 3> types{
-      systest::EventTypeIdOf<RegProbe>(), systest::EventTypeIdOf<RegOther>(),
-      systest::EventTypeIdOf<RegThird>()};
-  auto make = [](std::uint64_t kind) -> std::unique_ptr<const Event> {
-    switch (kind) {
-      case 0:
-        return systest::MakeEvent<RegProbe>();
-      case 1:
-        return systest::MakeEvent<RegOther>();
-      default:
-        return systest::MakeEvent<RegThird>();
-    }
-  };
   EventQueue q;
   std::deque<const Event*> model;
   systest::Xoshiro256 rng(20160722);
+  bool hashed = false;
   std::uint64_t removals_past_head = 0;
+  std::uint64_t removals_past_32 = 0;
   for (int op = 0; op < 40'000; ++op) {
+    if (!hashed && enable_at != kNeverHashed && op >= enable_at &&
+        (op == 0 || !model.empty())) {
+      q.EnableHash();
+      hashed = true;
+      ExpectQueueMatches(q, model);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure())
+          << "EnableHash seeded a wrong hash at operation " << op;
+    }
     // Long push-heavy and pop-heavy phases let the queue grow well past 32
     // live events and then drain a consumed prefix of 32+ without emptying,
     // which is what triggers compaction.
@@ -224,7 +257,7 @@ TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
       q.Clear();
       model.clear();
     } else if (model.empty() || roll < (push_phase ? 650u : 350u)) {
-      std::unique_ptr<const Event> ev = make(rng.NextBelow(types.size()));
+      std::unique_ptr<const Event> ev = MakeKind(rng.NextBelow(3));
       model.push_back(ev.get());
       q.PushBack(std::move(ev));
     } else if (roll < 850) {
@@ -234,16 +267,95 @@ TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
     } else {
       const std::size_t index = rng.NextBelow(model.size());
       removals_past_head += index > 0 ? 1 : 0;
+      removals_past_32 += index >= 32 ? 1 : 0;
       std::unique_ptr<const Event> ev = q.RemoveAt(index);
       ASSERT_EQ(ev.get(), model[index]);
       model.erase(model.begin() + static_cast<std::ptrdiff_t>(index));
     }
     ExpectQueueMatches(q, model);
-    if (HasFatalFailure()) {
+    if (::testing::Test::HasFatalFailure()) {
       FAIL() << "diverged after operation " << op;
     }
   }
+  EXPECT_EQ(hashed, enable_at != kNeverHashed);
   EXPECT_GT(removals_past_head, 0u);
+  EXPECT_GT(removals_past_32, 0u);
+}
+
+TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
+  ExpectQueueTracksModel(/*enable_at=*/0);
+}
+
+TEST(EventQueue, UnhashedQueueDigestsTheSameFromItsLane) {
+  ExpectQueueTracksModel(kNeverHashed);
+}
+
+TEST(EventQueue, EnablingTheHashOnAFullQueueSeedsItFromTheLane) {
+  ExpectQueueTracksModel(/*enable_at=*/20'000);
+}
+
+/// Digest of a fresh queue holding `kinds` front to back.
+systest::Fingerprint QueueDigest(const std::vector<std::uint64_t>& kinds,
+                                 bool hashed) {
+  systest::detail::EventQueue q;
+  if (hashed) q.EnableHash();
+  for (const std::uint64_t kind : kinds) q.PushBack(MakeKind(kind));
+  systest::StateHasher hasher;
+  q.HashTypesInto(hasher);
+  return hasher.Digest();
+}
+
+TEST(EventQueue, EqualLengthQueuesDifferingInOneSlotNeverCollide) {
+  // The differing slot changes H by (t - t') * B^j, which is non-zero in a
+  // prime field, and the length and H enter the digest through bijective
+  // rounds: a collision is impossible, not just unlikely.
+  systest::Xoshiro256 rng(26);
+  for (std::size_t length = 1; length <= 80; ++length) {
+    std::vector<std::uint64_t> kinds(length);
+    for (std::uint64_t& kind : kinds) kind = rng.NextBelow(3);
+    const systest::Fingerprint base = QueueDigest(kinds, /*hashed=*/true);
+    ASSERT_EQ(QueueDigest(kinds, /*hashed=*/false), base);
+    for (std::size_t slot = 0; slot < length; ++slot) {
+      const std::uint64_t original = kinds[slot];
+      for (std::uint64_t other = 0; other < 3; ++other) {
+        if (other == original) continue;
+        kinds[slot] = other;
+        ASSERT_NE(QueueDigest(kinds, /*hashed=*/true), base)
+            << "length " << length << ", slot " << slot;
+      }
+      kinds[slot] = original;
+    }
+  }
+}
+
+TEST(EventQueue, ThueMorsePairHashesApart) {
+  // The Thue–Morse sequence and its complement: the classic pair on which
+  // polynomial hashing mod 2^64 collides for every odd base once the length
+  // reaches 2^11. The lane hash works in GF(2^61 - 1) and tells them apart.
+  constexpr std::size_t kLength = 2048;
+  std::vector<std::uint64_t> thue_morse(kLength);
+  std::vector<std::uint64_t> complement(kLength);
+  for (std::size_t j = 0; j < kLength; ++j) {
+    thue_morse[j] = static_cast<std::uint64_t>(std::popcount(j) & 1);
+    complement[j] = 1 - thue_morse[j];
+  }
+  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/true),
+            QueueDigest(complement, /*hashed=*/true));
+  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/false),
+            QueueDigest(complement, /*hashed=*/false));
+  // The pair really is adversarial: the same polynomial mod 2^64 collides.
+  const std::array<systest::EventTypeId, 2> types{
+      systest::EventTypeIdOf<RegProbe>(), systest::EventTypeIdOf<RegOther>()};
+  const auto hash_mod_2_64 = [&types](const std::vector<std::uint64_t>& kinds) {
+    std::uint64_t hash = 0;
+    std::uint64_t power = 1;
+    for (const std::uint64_t kind : kinds) {
+      hash += (std::uint64_t{types[kind]} + 1) * power;
+      power *= systest::detail::lane_hash::kBase;
+    }
+    return hash;
+  };
+  EXPECT_EQ(hash_mod_2_64(thue_morse), hash_mod_2_64(complement));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // to the flat FingerprintSet — same Insert() verdict for every fingerprint in
 // any stream under the same total budget, no matter how often the hot level
 // compacts — so engine prune decisions (and therefore traces and reports)
-// cannot depend on the tiering. Pinned three ways: randomized stream
-// equivalence against the flat reference at boundary hot sizes, engine-level
+// cannot depend on the tiering. Pinned three ways: stream equivalence against
+// the flat reference (randomized at boundary hot sizes, and over adversarial
+// fingerprint families that defeat naive index or filter bits), engine-level
 // bit-for-bit report/trail equality on samplerepl and vnext with compaction
 // forced vs disabled, and spill round-trips that serve probes from
 // mmap-ed disk runs. Plus the new TestConfig::Validate rules.
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/systest.h"
@@ -94,6 +96,79 @@ TEST(TieredEquivalence, ShardedTieredMatchesFlatSingleThreaded) {
   const VisitedStats stats = sharded.Stats();
   EXPECT_GT(stats.compactions, 0u);
   EXPECT_EQ(stats.hot_entries + stats.run_entries, sharded.Size());
+}
+
+/// Fingerprint families with structure a well-mixed digest never has, aimed
+/// at the bits the tiered set consumes: the hot level's index, the back-level
+/// filter's block and bits, and the sharded wrapper's shard.
+enum class Family { kSmallIntegers, kShiftedBy40, kOneShardClass };
+
+std::vector<Fingerprint> FamilyStream(Family family, std::size_t distinct) {
+  const auto member = [family](std::uint64_t i) -> Fingerprint {
+    switch (family) {
+      case Family::kSmallIntegers:
+        return i + 1;  // 1..N
+      case Family::kShiftedBy40:
+        return i << 40;  // every low bit zero
+      case Family::kOneShardClass:
+        return (i << 6) | 37;  // one low-6-bit residue: a single shard
+    }
+    return i;
+  };
+  // Every member once, in order, each followed by a revisit of a random
+  // earlier member, so hits come from the hot level and from every run.
+  std::mt19937_64 rng(static_cast<std::uint64_t>(family) + 40);
+  std::vector<Fingerprint> stream;
+  stream.reserve(distinct * 2);
+  for (std::uint64_t i = 0; i < distinct; ++i) {
+    stream.push_back(member(i));
+    stream.push_back(member(rng() % (i + 1)));
+  }
+  return stream;
+}
+
+void ExpectFamilyEquivalence(Family family, const std::string& spill_dir) {
+  const std::vector<Fingerprint> stream = FamilyStream(family, 6000);
+  FingerprintSet flat(1u << 20);
+  TieredFingerprintSet tiered({1u << 20, 128, spill_dir});
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_EQ(flat.Insert(stream[i]), tiered.Insert(stream[i]))
+        << "diverged at element " << i << " (family "
+        << static_cast<int>(family) << ")";
+  }
+  EXPECT_EQ(flat.Size(), tiered.Size());
+  for (const Fingerprint fp : stream) ASSERT_TRUE(tiered.Contains(fp));
+  const VisitedStats stats = tiered.Stats();
+  EXPECT_GE(stats.compactions, 20u);
+  EXPECT_GE(stats.merges, 2u);
+  EXPECT_GT(stats.bloom_true_positives, 0u);
+  EXPECT_EQ(stats.run_probes,
+            stats.bloom_true_positives + stats.bloom_false_positives);
+  EXPECT_EQ(stats.hot_entries + stats.run_entries, tiered.Size());
+  if (!spill_dir.empty()) {
+    EXPECT_GT(stats.spilled_runs, 0u);
+    EXPECT_EQ(stats.spilled_runs, stats.runs);
+  }
+}
+
+TEST(TieredEquivalence, AdversarialFamiliesMatchFlat) {
+  for (const Family family : {Family::kSmallIntegers, Family::kShiftedBy40,
+                              Family::kOneShardClass}) {
+    ExpectFamilyEquivalence(family, std::string{});
+  }
+}
+
+TEST(TieredEquivalence, AdversarialFamiliesMatchFlatWhenSpilled) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "systest-tiered-family-test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const Family family : {Family::kSmallIntegers, Family::kShiftedBy40,
+                              Family::kOneShardClass}) {
+    ExpectFamilyEquivalence(family, dir.string());
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TieredCompaction, CompactsMergesAndKeepsMembershipExact) {

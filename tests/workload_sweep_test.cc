@@ -91,8 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MTableWorkload{1, 8}, MTableWorkload{2, 6},
                       MTableWorkload{3, 4}, MTableWorkload{4, 3}),
     [](const ::testing::TestParamInfo<MTableWorkload>& info) {
-      return "s" + std::to_string(info.param.services) + "x" +
-             std::to_string(info.param.ops);
+      std::string name = "s";
+      name += std::to_string(info.param.services);
+      name += 'x';
+      name += std::to_string(info.param.ops);
+      return name;
     });
 
 // Single-partition workload: the per-partition protocol must degenerate
@@ -170,9 +173,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ReplShape{3, 3, 1}, ReplShape{3, 3, 3},
                       ReplShape{4, 3, 2}, ReplShape{5, 5, 2}),
     [](const ::testing::TestParamInfo<ReplShape>& info) {
-      return "n" + std::to_string(info.param.nodes) + "t" +
-             std::to_string(info.param.target) + "r" +
-             std::to_string(info.param.requests);
+      std::string name = "n";
+      name += std::to_string(info.param.nodes);
+      name += 't';
+      name += std::to_string(info.param.target);
+      name += 'r';
+      name += std::to_string(info.param.requests);
+      return name;
     });
 
 }  // namespace

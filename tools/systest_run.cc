@@ -149,7 +149,8 @@ void PrintUsage(const char* argv0) {
       "                     --stateful)\n"
       "  --max-visited-hot <n>  exact hot-level capacity; reaching it\n"
       "                     compacts the hot front into a sorted run behind\n"
-      "                     a bloom filter (default 1M; implies --stateful)\n"
+      "                     the back-level bloom filter (default 1M; implies\n"
+      "                     --stateful)\n"
       "  --visited-spill-dir <d>  write compacted runs to <d> as mmap-able\n"
       "                     files instead of keeping them in RAM (implies\n"
       "                     --stateful)\n"
