@@ -89,8 +89,8 @@ struct TestConfig {
   std::uint64_t max_visited_hot = 1u << 20;
   /// With stateful: when non-empty, compacted runs are written to this
   /// directory as raw 64-bit files and mapped back read-only, so the back
-  /// level's RAM footprint is its bloom filter (~1.5 bytes/state) rather
-  /// than the full runs. Files are private to the run and unlinked when the
+  /// level's RAM footprint is its bloom filter (1.5 to 2.25 bytes/state, as
+  /// its capacity is grown in 1.5x steps) rather than the full runs. Files are private to the run and unlinked when the
   /// set is destroyed. Empty = runs stay in memory.
   std::string visited_spill_dir;
   /// With stateful: consecutive already-visited states after which an

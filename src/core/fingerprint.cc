@@ -54,15 +54,9 @@ void HotFingerprintTable::AppendSorted(std::vector<std::uint64_t>& out) const {
 }
 
 void BackLevelFilter::Reset(std::size_t capacity) {
-  std::vector<std::uint64_t>().swap(words_);
+  std::vector<Block>().swap(blocks_);
   capacity_ = capacity;
-  block_count_ = (capacity * kBitsPerKey + 511) / 512;
-  blocks_ = nullptr;
-  if (block_count_ == 0) return;
-  // One spare block's worth of words lets the blocks start on a cache line.
-  words_.assign((block_count_ + 1) * kWordsPerBlock, 0);
-  const auto base = reinterpret_cast<std::uintptr_t>(words_.data());
-  blocks_ = words_.data() + ((64 - base % 64) % 64) / sizeof(std::uint64_t);
+  blocks_.resize((capacity * kBitsPerKey + 511) / 512);
 }
 
 namespace {

@@ -21,22 +21,24 @@
 //     the semantic reference — the tiered set must answer identically).
 //   - TieredFingerprintSet: two levels over REMIXED keys (the fingerprint
 //     times an odd constant, a bijection, so a key identifies a state
-//     exactly as its fingerprint does). An exact bounded HOT level (open addressing indexed by
-//     the key's top bits) absorbs all inserts; when it fills, it drains in
-//     slot order — already sorted up to local probe displacement, which an
-//     insertion pass fixes, so no comparison sort runs — into an immutable
-//     sorted run, and the hot level starts over. Runs merge k-way as they
-//     accumulate and can spill to mmap-able files on disk, so hundreds of
-//     millions of fingerprints fit without the honest hit rate collapsing
-//     at the old flat cap. ONE blocked bloom filter covers the whole back
-//     level (~12 bits per key, grown by rebuilding at 1.5x; compaction only
-//     adds the new run's keys), so a novel state costs its hot slot plus one
-//     filter cache line however many runs are live. With the runs spilled,
-//     that filter (~1.5 bytes/key) is the back level's whole memory
-//     footprint. Because keys are exact, back-level membership stays EXACT:
-//     a filter negative skips the runs, a filter positive binary-searches
-//     them newest first — the filter only saves probes, it never changes an
-//     answer, so pruning soundness is identical to the flat set (pinned by
+//     exactly as its fingerprint does). An exact bounded HOT level (open
+//     addressing indexed by the key's top bits) absorbs all inserts; when it
+//     fills, it drains in slot order — already sorted up to local probe
+//     displacement, which an insertion pass fixes, so no comparison sort
+//     runs — into an immutable sorted run, and the hot level starts over.
+//     Runs merge k-way as they accumulate and can spill to mmap-able files
+//     on disk, so hundreds of millions of fingerprints fit without the
+//     honest hit rate collapsing at the old flat cap. ONE blocked bloom
+//     filter covers the whole back level (12 bits per key of capacity,
+//     grown by rebuilding at 1.5x; compaction only adds the new run's keys),
+//     so a novel state costs its hot slot plus one filter cache line however
+//     many runs are live. With the runs spilled, that filter is the back
+//     level's whole memory footprint: capacity runs from 1x to 1.5x the key
+//     count, so 1.5 to 2.25 bytes per spilled key. Because keys are exact,
+//     back-level membership stays EXACT: a filter negative skips the runs, a
+//     filter positive binary-searches them newest first — the filter only
+//     saves probes, it never changes an answer, so pruning soundness is
+//     identical to the flat set (pinned by
 //     tests/core_visited_tiered_test.cc).
 //   - explore::ShardedFingerprintSet: 64 independently locked shards, each a
 //     TieredFingerprintSet, for parallel workers (explore/).
@@ -262,7 +264,7 @@ class BackLevelFilter {
   void Reset(std::size_t capacity);
 
   void Add(std::uint64_t key) noexcept {
-    std::uint64_t* block = blocks_ + BlockOffset(key);
+    std::uint64_t* block = blocks_[BlockIndex(key)].words;
     std::uint64_t bits = BitHash(key);
     for (int k = 0; k < kProbes; ++k) {
       const unsigned bit = static_cast<unsigned>(bits >> 55);
@@ -272,8 +274,8 @@ class BackLevelFilter {
   }
 
   [[nodiscard]] bool MayContain(std::uint64_t key) const noexcept {
-    if (block_count_ == 0) return false;
-    const std::uint64_t* block = blocks_ + BlockOffset(key);
+    if (blocks_.empty()) return false;
+    const std::uint64_t* block = blocks_[BlockIndex(key)].words;
     std::uint64_t bits = BitHash(key);
     for (int k = 0; k < kProbes; ++k) {
       const unsigned bit = static_cast<unsigned>(bits >> 55);
@@ -286,12 +288,15 @@ class BackLevelFilter {
  private:
   static constexpr int kProbes = 7;
   static constexpr std::size_t kBitsPerKey = 12;
-  static constexpr std::size_t kWordsPerBlock = 8;
 
-  [[nodiscard]] std::size_t BlockOffset(std::uint64_t key) const noexcept {
+  /// One cache line of filter bits.
+  struct alignas(64) Block {
+    std::uint64_t words[8];
+  };
+
+  [[nodiscard]] std::size_t BlockIndex(std::uint64_t key) const noexcept {
     return static_cast<std::size_t>(
-               (static_cast<unsigned __int128>(key) * block_count_) >> 64) *
-           kWordsPerBlock;
+        (static_cast<unsigned __int128>(key) * blocks_.size()) >> 64);
   }
 
   /// Bit positions come from the top of a second mix: the block already
@@ -301,9 +306,7 @@ class BackLevelFilter {
     return (key ^ (key >> 29)) * 0xbf58476d1ce4e5b9ull;
   }
 
-  std::vector<std::uint64_t> words_;   ///< backing store, over-allocated
-  std::uint64_t* blocks_ = nullptr;    ///< words_ aligned up to 64 bytes
-  std::size_t block_count_ = 0;
+  std::vector<Block> blocks_;
   std::size_t capacity_ = 0;
 };
 
@@ -354,7 +357,8 @@ struct TieredOptions {
   std::size_t hot_entries = 1u << 20;
   /// Non-empty: compacted/merged runs are written here as raw little-endian
   /// 64-bit files and mapped back read-only, so the back level's memory
-  /// footprint is its filter (~1.5 bytes/entry), not the runs.
+  /// footprint is its filter (1.5 to 2.25 bytes/entry: 12 bits per entry
+  /// of capacity, which is grown in 1.5x steps), not the runs.
   std::string spill_dir;
 };
 

@@ -224,30 +224,17 @@ std::unique_ptr<const Event> MakeKind(std::uint64_t kind) {
   }
 }
 
-constexpr int kNeverHashed = -1;
-
 /// Drives a queue and a std::deque model through the same random
 /// push/pop/remove/clear sequence, checking them against each other after
-/// every operation. The lane hash is enabled before operation `enable_at`
-/// (0: from the start; otherwise at the first later point where the queue
-/// is non-empty, so EnableHash must seed H from queued events) or never.
-void ExpectQueueTracksModel(int enable_at) {
+/// every operation.
+TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
   using systest::detail::EventQueue;
   EventQueue q;
   std::deque<const Event*> model;
   systest::Xoshiro256 rng(20160722);
-  bool hashed = false;
   std::uint64_t removals_past_head = 0;
   std::uint64_t removals_past_32 = 0;
   for (int op = 0; op < 40'000; ++op) {
-    if (!hashed && enable_at != kNeverHashed && op >= enable_at &&
-        (op == 0 || !model.empty())) {
-      q.EnableHash();
-      hashed = true;
-      ExpectQueueMatches(q, model);
-      ASSERT_FALSE(::testing::Test::HasFatalFailure())
-          << "EnableHash seeded a wrong hash at operation " << op;
-    }
     // Long push-heavy and pop-heavy phases let the queue grow well past 32
     // live events and then drain a consumed prefix of 32+ without emptying,
     // which is what triggers compaction.
@@ -277,28 +264,13 @@ void ExpectQueueTracksModel(int enable_at) {
       FAIL() << "diverged after operation " << op;
     }
   }
-  EXPECT_EQ(hashed, enable_at != kNeverHashed);
   EXPECT_GT(removals_past_head, 0u);
   EXPECT_GT(removals_past_32, 0u);
 }
 
-TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
-  ExpectQueueTracksModel(/*enable_at=*/0);
-}
-
-TEST(EventQueue, UnhashedQueueDigestsTheSameFromItsLane) {
-  ExpectQueueTracksModel(kNeverHashed);
-}
-
-TEST(EventQueue, EnablingTheHashOnAFullQueueSeedsItFromTheLane) {
-  ExpectQueueTracksModel(/*enable_at=*/20'000);
-}
-
 /// Digest of a fresh queue holding `kinds` front to back.
-systest::Fingerprint QueueDigest(const std::vector<std::uint64_t>& kinds,
-                                 bool hashed) {
+systest::Fingerprint QueueDigest(const std::vector<std::uint64_t>& kinds) {
   systest::detail::EventQueue q;
-  if (hashed) q.EnableHash();
   for (const std::uint64_t kind : kinds) q.PushBack(MakeKind(kind));
   systest::StateHasher hasher;
   q.HashTypesInto(hasher);
@@ -313,14 +285,13 @@ TEST(EventQueue, EqualLengthQueuesDifferingInOneSlotNeverCollide) {
   for (std::size_t length = 1; length <= 80; ++length) {
     std::vector<std::uint64_t> kinds(length);
     for (std::uint64_t& kind : kinds) kind = rng.NextBelow(3);
-    const systest::Fingerprint base = QueueDigest(kinds, /*hashed=*/true);
-    ASSERT_EQ(QueueDigest(kinds, /*hashed=*/false), base);
+    const systest::Fingerprint base = QueueDigest(kinds);
     for (std::size_t slot = 0; slot < length; ++slot) {
       const std::uint64_t original = kinds[slot];
       for (std::uint64_t other = 0; other < 3; ++other) {
         if (other == original) continue;
         kinds[slot] = other;
-        ASSERT_NE(QueueDigest(kinds, /*hashed=*/true), base)
+        ASSERT_NE(QueueDigest(kinds), base)
             << "length " << length << ", slot " << slot;
       }
       kinds[slot] = original;
@@ -339,10 +310,7 @@ TEST(EventQueue, ThueMorsePairHashesApart) {
     thue_morse[j] = static_cast<std::uint64_t>(std::popcount(j) & 1);
     complement[j] = 1 - thue_morse[j];
   }
-  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/true),
-            QueueDigest(complement, /*hashed=*/true));
-  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/false),
-            QueueDigest(complement, /*hashed=*/false));
+  EXPECT_NE(QueueDigest(thue_morse), QueueDigest(complement));
   // The pair really is adversarial: the same polynomial mod 2^64 collides.
   const std::array<systest::EventTypeId, 2> types{
       systest::EventTypeIdOf<RegProbe>(), systest::EventTypeIdOf<RegOther>()};
