@@ -18,13 +18,16 @@
 //
 //   H = sum over j of (t_j + 1) * B^j      (j = 0 at the head)
 //
-// The queue maintains H incrementally on every mutation: PushBack adds one
-// term and PopFront drops the head term and shifts the rest down by
-// multiplying with the precomputed inverse of B, both O(1); RemoveAt(i)
-// re-sums the i terms in front of the hole, O(i). A stateful refresh of a
-// machine with a long inbox therefore costs the same as one with an empty
-// inbox. Stateless runs never read H; keeping it costs them about two
-// field multiplies per push or pop, which is within the noise of bug-hunt.
+// With the hash switched on (EnableHash — the Runtime does so at Attach when
+// it is stateful) the queue maintains H incrementally: PushBack adds one term
+// and PopFront drops the head term and shifts the rest down by multiplying
+// with the precomputed inverse of B, both O(1); RemoveAt(i) re-sums the i
+// terms in front of the hole, O(i). A stateful refresh of a machine with a
+// long inbox therefore costs the same as one with an empty inbox. Stateless
+// runs never read H, never switch it on, and pay one predictable branch per
+// push or pop. They cannot afford the upkeep: maintaining H in every queue
+// cost perfbench bug-hunt 20% of its exec_per_s (4-core host, 9 of 9
+// interleaved pairs), all of it in RemoveAt's O(i) re-sum on long inboxes.
 //
 // Because B is invertible and every coefficient t + 1 lies in [1, 2^32],
 // two equal-length queues that differ in one slot always hash apart. The
@@ -98,18 +101,22 @@ class EventQueue {
 
   void PushBack(std::unique_ptr<const Event> ev) {
     const EventTypeId type = ev->TypeId();
-    hash_ = lane_hash::Add(hash_,
-                           lane_hash::Mul(lane_hash::Term(type), tail_power_));
-    tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBase);
+    if (hashed_) {
+      hash_ = lane_hash::Add(hash_, lane_hash::Mul(lane_hash::Term(type),
+                                                   tail_power_));
+      tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBase);
+    }
     types_.push_back(type);
     buf_.push_back(std::move(ev));
   }
 
   std::unique_ptr<const Event> PopFront() {
-    hash_ = lane_hash::Mul(
-        lane_hash::Sub(hash_, lane_hash::Term(types_[head_])),
-        lane_hash::kBaseInverse);
-    tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBaseInverse);
+    if (hashed_) {
+      hash_ = lane_hash::Mul(
+          lane_hash::Sub(hash_, lane_hash::Term(types_[head_])),
+          lane_hash::kBaseInverse);
+      tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBaseInverse);
+    }
     std::unique_ptr<const Event> ev = std::move(buf_[head_]);
     ++head_;
     MaybeCompact();
@@ -123,22 +130,24 @@ class EventQueue {
       return PopFront();
     }
     const auto offset = static_cast<std::ptrdiff_t>(head_ + index);
-    // H = front + Term(t_index) * B^index + back; the back terms shift
-    // down one power, the front terms stay put.
-    std::uint64_t front = 0;
-    std::uint64_t power = 1;
-    const EventTypeId* lane = types_.data() + head_;
-    for (std::size_t j = 0; j < index; ++j) {
-      front = lane_hash::Add(front,
-                             lane_hash::Mul(lane_hash::Term(lane[j]), power));
-      power = lane_hash::Mul(power, lane_hash::kBase);
+    if (hashed_) {
+      // H = front + Term(t_index) * B^index + back; the back terms shift
+      // down one power, the front terms stay put.
+      std::uint64_t front = 0;
+      std::uint64_t power = 1;
+      const EventTypeId* lane = types_.data() + head_;
+      for (std::size_t j = 0; j < index; ++j) {
+        front = lane_hash::Add(front,
+                               lane_hash::Mul(lane_hash::Term(lane[j]), power));
+        power = lane_hash::Mul(power, lane_hash::kBase);
+      }
+      const std::uint64_t back = lane_hash::Sub(
+          lane_hash::Sub(hash_, front),
+          lane_hash::Mul(lane_hash::Term(lane[index]), power));
+      hash_ = lane_hash::Add(front,
+                             lane_hash::Mul(back, lane_hash::kBaseInverse));
+      tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBaseInverse);
     }
-    const std::uint64_t back = lane_hash::Sub(
-        lane_hash::Sub(hash_, front),
-        lane_hash::Mul(lane_hash::Term(lane[index]), power));
-    hash_ = lane_hash::Add(front,
-                           lane_hash::Mul(back, lane_hash::kBaseInverse));
-    tail_power_ = lane_hash::Mul(tail_power_, lane_hash::kBaseInverse);
     const auto it = buf_.begin() + offset;
     std::unique_ptr<const Event> ev = std::move(*it);
     buf_.erase(it);
@@ -146,7 +155,7 @@ class EventQueue {
     return ev;
   }
 
-  /// Empties the queue.
+  /// Empties the queue. An enabled lane hash stays enabled.
   void Clear() {
     buf_.clear();
     types_.clear();
@@ -154,6 +163,12 @@ class EventQueue {
     hash_ = 0;
     tail_power_ = 1;
   }
+
+  /// Switches on incremental maintenance of the lane hash. Stays on for the
+  /// queue's lifetime. Pre-condition: Empty() (the Runtime enables it on a
+  /// machine's inbox at Attach, before any event can be queued), so H and
+  /// B^Size() start from their empty-queue values.
+  void EnableHash() { hashed_ = true; }
 
   /// The live events' type ids, front to back (the type lane).
   [[nodiscard]] std::span<const EventTypeId> Types() const noexcept {
@@ -163,10 +178,11 @@ class EventQueue {
   /// This queue's contribution to a machine's state fingerprint: the length
   /// and the lane hash of the front-to-back sequence of queued event-type
   /// ids (payloads are a machine concern — see Machine::FingerprintPayload).
-  /// O(1): it reads the maintained lane hash.
+  /// O(1) with the hash enabled; otherwise (a stateless Runtime's machine,
+  /// through Machine::ComputeStateFingerprint) it walks the lane.
   void HashTypesInto(StateHasher& hasher) const {
     hasher.Mix(Size());
-    hasher.Mix(hash_);
+    hasher.Mix(hashed_ ? hash_ : LaneHash(Types()));
   }
 
   /// HashTypesInto recomputed from the type lane, never reading the
@@ -216,8 +232,9 @@ class EventQueue {
   std::vector<std::unique_ptr<const Event>> buf_;
   std::vector<EventTypeId> types_;  // index-aligned with buf_
   std::size_t head_ = 0;
-  std::uint64_t hash_ = 0;        // H
-  std::uint64_t tail_power_ = 1;  // B^Size()
+  bool hashed_ = false;           // lane hash maintained (stateful runs)
+  std::uint64_t hash_ = 0;        // H, valid while hashed_
+  std::uint64_t tail_power_ = 1;  // B^Size(), valid while hashed_
 };
 
 }  // namespace systest::detail

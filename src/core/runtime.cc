@@ -563,6 +563,7 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
   machines_.push_back(std::move(machine));
   const MachineId id = machines_.back()->id_;
   if (options_.stateful) {
+    machines_.back()->queue_.EnableHash();
     // The contribution is NOT hashed here but at the next fingerprint
     // refresh — after harness setup (or the creating step) has finished
     // initializing the machine, so post-Create mutations like SetPeer are

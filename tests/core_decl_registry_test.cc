@@ -226,10 +226,12 @@ std::unique_ptr<const Event> MakeKind(std::uint64_t kind) {
 
 /// Drives a queue and a std::deque model through the same random
 /// push/pop/remove/clear sequence, checking them against each other after
-/// every operation.
-TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
+/// every operation. With `hashed` the lane hash is maintained from the
+/// start; without it HashTypesInto walks the lane.
+void ExpectQueueTracksModel(bool hashed) {
   using systest::detail::EventQueue;
   EventQueue q;
+  if (hashed) q.EnableHash();
   std::deque<const Event*> model;
   systest::Xoshiro256 rng(20160722);
   std::uint64_t removals_past_head = 0;
@@ -268,9 +270,19 @@ TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
   EXPECT_GT(removals_past_32, 0u);
 }
 
+TEST(EventQueue, TypeLaneTracksAStdDequeModel) {
+  ExpectQueueTracksModel(/*hashed=*/true);
+}
+
+TEST(EventQueue, UnhashedQueueDigestsTheSameFromItsLane) {
+  ExpectQueueTracksModel(/*hashed=*/false);
+}
+
 /// Digest of a fresh queue holding `kinds` front to back.
-systest::Fingerprint QueueDigest(const std::vector<std::uint64_t>& kinds) {
+systest::Fingerprint QueueDigest(const std::vector<std::uint64_t>& kinds,
+                                 bool hashed) {
   systest::detail::EventQueue q;
+  if (hashed) q.EnableHash();
   for (const std::uint64_t kind : kinds) q.PushBack(MakeKind(kind));
   systest::StateHasher hasher;
   q.HashTypesInto(hasher);
@@ -285,13 +297,14 @@ TEST(EventQueue, EqualLengthQueuesDifferingInOneSlotNeverCollide) {
   for (std::size_t length = 1; length <= 80; ++length) {
     std::vector<std::uint64_t> kinds(length);
     for (std::uint64_t& kind : kinds) kind = rng.NextBelow(3);
-    const systest::Fingerprint base = QueueDigest(kinds);
+    const systest::Fingerprint base = QueueDigest(kinds, /*hashed=*/true);
+    ASSERT_EQ(QueueDigest(kinds, /*hashed=*/false), base);
     for (std::size_t slot = 0; slot < length; ++slot) {
       const std::uint64_t original = kinds[slot];
       for (std::uint64_t other = 0; other < 3; ++other) {
         if (other == original) continue;
         kinds[slot] = other;
-        ASSERT_NE(QueueDigest(kinds), base)
+        ASSERT_NE(QueueDigest(kinds, /*hashed=*/true), base)
             << "length " << length << ", slot " << slot;
       }
       kinds[slot] = original;
@@ -310,7 +323,10 @@ TEST(EventQueue, ThueMorsePairHashesApart) {
     thue_morse[j] = static_cast<std::uint64_t>(std::popcount(j) & 1);
     complement[j] = 1 - thue_morse[j];
   }
-  EXPECT_NE(QueueDigest(thue_morse), QueueDigest(complement));
+  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/true),
+            QueueDigest(complement, /*hashed=*/true));
+  EXPECT_NE(QueueDigest(thue_morse, /*hashed=*/false),
+            QueueDigest(complement, /*hashed=*/false));
   // The pair really is adversarial: the same polynomial mod 2^64 collides.
   const std::array<systest::EventTypeId, 2> types{
       systest::EventTypeIdOf<RegProbe>(), systest::EventTypeIdOf<RegOther>()};
