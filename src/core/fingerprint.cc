@@ -54,9 +54,9 @@ void HotFingerprintTable::AppendSorted(std::vector<std::uint64_t>& out) const {
 }
 
 void BackLevelFilter::Reset(std::size_t capacity) {
-  std::vector<Block>().swap(blocks_);
+  std::vector<std::uint64_t>().swap(words_);
   capacity_ = capacity;
-  blocks_.resize((capacity * kBitsPerKey + 511) / 512);
+  words_.assign((capacity * kBitsPerKey + 511) / 512 * kWordsPerBlock, 0);
 }
 
 namespace {
