@@ -26,7 +26,7 @@
 // long inbox therefore costs the same as one with an empty inbox. Stateless
 // runs never read H and never switch it on. They cannot afford the upkeep:
 // maintaining H in every queue cost perfbench bug-hunt 20% of its
-// exec_per_s (4-core host, 9 of 9 interleaved pairs), all of it in
+// exec_per_s (4-core host, slower in 9 of 9 interleaved pairs), all of it in
 // RemoveAt's O(i) re-sum on long inboxes. They pay one predictable branch
 // per mutation instead, marked [[unlikely]] so the update code sits off
 // their path (bug-hunt exec_per_s +5.6% over the unmarked branch, 4 of 6
