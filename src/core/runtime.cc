@@ -397,8 +397,6 @@ void Machine::ResetForReuse() {
   crashed_ = false;
   partitioned_ = false;
   current_state_ = nullptr;
-  enabled_cache_ = false;
-  enabled_dirty_ = true;
   fp_dirty_ = false;
   restart_count_ = 0;
   transitions_taken_ = 0;
@@ -519,7 +517,6 @@ Runtime::Runtime(SchedulingStrategy& strategy, RuntimeOptions options)
   // capped so huge step bounds don't preallocate tens of megabytes.
   trace_.Reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(options_.max_steps, 4096)));
-  enabled_scratch_.reserve(16);
 }
 
 Runtime::~Runtime() = default;
@@ -562,6 +559,10 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
   }
   machines_.push_back(std::move(machine));
   const MachineId id = machines_.back()->id_;
+  // Not started yet, hence enabled: it runs its start state's entry when
+  // first scheduled.
+  enabled_.push_back(1);
+  enabled_scratch_.resize(machines_.size());
   if (options_.stateful) {
     machines_.back()->queue_.EnableHash();
     // The contribution is NOT hashed here but at the next fingerprint
@@ -666,8 +667,14 @@ void Runtime::DeliverEvent(MachineId target, std::unique_ptr<const Event> ev,
   if (probe_ != nullptr) {
     probe_->CountDelivery(ev->TypeId());
   }
+  // An append can only enable the target. A self-send during the sender's
+  // own step needs no special case: Step re-derives the stepped machine's
+  // flag after RunStep.
+  std::uint8_t& enabled = enabled_[target.value - 1];
+  if (enabled == 0 && machine->EnabledByDelivery(ev->TypeId())) {
+    enabled = 1;
+  }
   machine->queue_.PushBack(std::move(ev));
-  machine->MarkEnabledDirty();
   if (options_.stateful) {
     MarkFingerprintDirty(*machine);
   }
@@ -739,22 +746,28 @@ std::uint64_t Runtime::ChooseInt(std::uint64_t bound) {
 bool Runtime::Step() {
   if (fault_mode_) [[unlikely]] {
     // Fault choice point (crash/restart/partition/heal) at the step
-    // boundary, BEFORE the enabled scan: a crash shrinks the enabled set,
-    // a restart can revive a quiescent world.
+    // boundary, BEFORE the enabled span is built: a crash shrinks the
+    // enabled set, a restart can revive a quiescent world.
     MaybeInjectFault();
   }
-  enabled_scratch_.clear();
-  for (const auto& machine : machines_) {
-    if (machine->CachedEnabled()) {
-      enabled_scratch_.push_back(machine->id_);  // id order == sorted
-    }
+  // Compact the flags into the id-ordered (hence sorted) enabled span. Every
+  // slot is written and the cursor advances by the flag, so no machine
+  // object is touched and no per-machine branch can mispredict.
+  const std::size_t slots = enabled_.size();
+  const std::uint8_t* const flags = enabled_.data();
+  MachineId* const scratch = enabled_scratch_.data();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < slots; ++i) {
+    scratch[count].value = i + 1;
+    count += flags[i];
   }
-  if (enabled_scratch_.empty()) {
+  if (count == 0) {
     return false;
   }
+  const std::span<const MachineId> enabled(scratch, count);
   // No branch hint — see DeliverEvent: armed probes take this every step.
   if (probe_ != nullptr) {
-    probe_->CountEnabled(enabled_scratch_.size());
+    probe_->CountEnabled(count);
   }
   // The scheduling call dominates the step loop for the paper's two main
   // strategies; both classes are final, so the tagged casts below compile to
@@ -763,27 +776,33 @@ bool Runtime::Step() {
   MachineId chosen;
   switch (strategy_builtin_) {
     case BuiltinStrategy::kRandom:
-      chosen = static_cast<RandomStrategy&>(strategy_).Next(enabled_scratch_,
-                                                            steps_);
+      chosen = static_cast<RandomStrategy&>(strategy_).Next(enabled, steps_);
       break;
     case BuiltinStrategy::kPct:
-      chosen =
-          static_cast<PctStrategy&>(strategy_).Next(enabled_scratch_, steps_);
+      chosen = static_cast<PctStrategy&>(strategy_).Next(enabled, steps_);
       break;
     case BuiltinStrategy::kOther:
-      chosen = strategy_.Next(enabled_scratch_, steps_);
+      chosen = strategy_.Next(enabled, steps_);
+      // A third-party pick outside the span would otherwise dereference a
+      // missing machine, or report a false "non-fulfillable receive" bug for
+      // a disabled one. Id 0 wraps to the largest slot and fails too.
+      if (chosen.value - 1 >= slots || flags[chosen.value - 1] == 0)
+          [[unlikely]] {
+        ThrowNotEnabled(chosen);
+      }
       break;
   }
   trace_.RecordSchedule(chosen.value);
   ++steps_;
   cascade_actions_ = 0;
-  Machine* machine = FindMachine(chosen);
-  machine->RunStep();
-  // Everything about the stepped machine may have changed (queue, state,
-  // receive status, halt); senders were marked dirty by DeliverEvent.
-  machine->MarkEnabledDirty();
+  Machine& machine = *machines_[chosen.value - 1];
+  machine.RunStep();
+  // The step may have consumed the inbox, changed state, entered or left a
+  // Receive, or halted: only this machine's flag can have changed in a way
+  // no delivery recorded.
+  RefreshEnabled(machine);
   if (options_.stateful) {
-    MarkFingerprintDirty(*machine);
+    MarkFingerprintDirty(machine);
     RefreshFingerprint();
     if (options_.record_fingerprint_trail) {
       fp_trail_.push_back(world_fp_ ^ SharedStateFingerprint());
@@ -896,7 +915,7 @@ void Runtime::ApplyCrash(MachineId id) {
   }
   ++crashed_machines_;
   machine->DoCrash();
-  machine->MarkEnabledDirty();
+  RefreshEnabled(*machine);
   if (options_.stateful) {
     MarkFingerprintDirty(*machine);
   }
@@ -921,7 +940,7 @@ void Runtime::ApplyRestart(MachineId id) {
   }
   --crashed_machines_;
   machine->DoRestart();
-  machine->MarkEnabledDirty();
+  RefreshEnabled(*machine);
   if (options_.stateful) {
     MarkFingerprintDirty(*machine);
   }
@@ -1122,6 +1141,16 @@ Fingerprint Runtime::RecomputeExecutionFingerprint() const {
   return world ^ SharedStateFingerprint();
 }
 
+std::vector<MachineId> Runtime::RecomputeEnabledSet() const {
+  std::vector<MachineId> enabled;
+  for (const auto& machine : machines_) {
+    if (machine->IsEnabled()) {
+      enabled.push_back(machine->id_);
+    }
+  }
+  return enabled;
+}
+
 void Runtime::UpdateMonitorTemperatures() {
   for (const auto& monitor : monitors_) {
     if (monitor->IsHot()) {
@@ -1137,6 +1166,15 @@ void Runtime::ThrowCascadeOverflow() const {
                  "handler cascade exceeded " +
                      std::to_string(options_.max_cascade_actions) +
                      " actions in one step (raise/goto loop?)");
+}
+
+void Runtime::ThrowNotEnabled(MachineId chosen) const {
+  const bool known = chosen.Valid() && chosen.value <= machines_.size();
+  throw BugFound(BugKind::kHarnessError,
+                 "strategy '" + strategy_.Name() + "' scheduled machine " +
+                     std::to_string(chosen.value) + ", which is " +
+                     (known ? "not enabled" : "unknown") +
+                     " (Next must pick from the enabled span)");
 }
 
 void Runtime::CheckTermination(bool hit_bound) {
@@ -1247,6 +1285,9 @@ void Runtime::ResetForNextExecution(detail::EventArena* arena) {
     crashable_machines_ += machine.crashable_ ? 1 : 0;
     partitionable_machines_ += machine.partitionable_ ? 1 : 0;
   }
+  // Every surviving machine is back to not-started, hence enabled; the
+  // truncated slots go with their machines.
+  enabled_.assign(machines_.size(), 1);
   steps_ = 0;
   cascade_actions_ = 0;
   delivery_seq_ = 0;

@@ -16,13 +16,16 @@
 //    shared MachineDecl (core/decl.h); instances after the first skip
 //    declaration building entirely. Event dispatch is flat-vector indexing
 //    on interned EventTypeIds, not hashing on type_index.
-//  * Each machine caches its enabled-flag; Runtime::Step re-examines only
-//    machines whose queue or control state changed since the last step, and
-//    reuses one scratch buffer for the enabled set.
+//  * The Runtime owns the enabled set: one flag byte per machine, updated
+//    only where enabledness changes (the stepped machine, a delivery, a
+//    crash or restart, a new machine, the recycling reset). Runtime::Step
+//    never visits a machine object to schedule; it compacts the flag bytes
+//    into the id-ordered span the strategy picks from.
 //  * Assertion messages are built only on failure, and the execution log
 //    appends into a single buffer (and only when logging is on).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <initializer_list>
@@ -392,15 +395,19 @@ class Machine {
   }
   /// Receive-wait and deferrable-state cases of IsEnabled.
   [[nodiscard]] bool IsEnabledSlow() const;
-  /// Memoized IsEnabled: recomputed only after MarkEnabledDirty.
-  [[nodiscard]] bool CachedEnabled() {
-    if (enabled_dirty_) {
-      enabled_cache_ = IsEnabled();
-      enabled_dirty_ = false;
+  /// Whether appending an event of `type` to the inbox of this idle, live
+  /// (neither halted nor crashed) machine makes it enabled. An append can
+  /// enable a machine but never disable it, so Runtime::DeliverEvent keeps
+  /// the enabled set exact with this O(1) test instead of an inbox rescan.
+  [[nodiscard]] bool EnabledByDelivery(EventTypeId type) const {
+    if (!started_) return true;
+    if (root_task_.Valid()) {
+      // Suspended in Receive: only a type it waits for can resume it.
+      return std::find(waiting_types_.begin(), waiting_types_.end(), type) !=
+             waiting_types_.end();
     }
-    return enabled_cache_;
+    return current_state_ == nullptr || !current_state_->defers.Contains(type);
   }
-  void MarkEnabledDirty() noexcept { enabled_dirty_ = true; }
   [[nodiscard]] bool IsWaitingInReceive() const noexcept {
     return !waiting_types_.empty();
   }
@@ -458,8 +465,6 @@ class Machine {
   bool crashable_ = false;      // fault plane: crash-candidate opt-in
   bool partitionable_ = false;  // fault plane: partition-candidate opt-in
   bool partitioned_ = false;    // fault plane: currently isolated
-  bool enabled_cache_ = false;
-  bool enabled_dirty_ = true;
   bool fp_dirty_ = false;  // queued for contribution rehash (stateful only)
   bool logging_ = false;  // Runtime's options_.logging, cached at attach
   bool reusable_ = false;  // type declared kReusableRuntime (set at create)
@@ -879,8 +884,14 @@ class Runtime {
   // ---- Engine API ----
 
   /// Executes one scheduling step. Returns false on quiescence (no machine
-  /// enabled). Throws BugFound on a violation.
+  /// enabled). Throws BugFound on a violation, and a kHarnessError when a
+  /// strategy schedules a machine outside the enabled set.
   bool Step();
+
+  /// The enabled set recomputed from scratch (Machine::IsEnabled over every
+  /// machine, in id order) — the O(world) cross-check for the incrementally
+  /// maintained set Step hands the strategy (tests).
+  [[nodiscard]] std::vector<MachineId> RecomputeEnabledSet() const;
 
   /// End-of-execution property checks (§2.5 liveness heuristic): call with
   /// hit_bound=true when the step bound was reached, false on quiescence.
@@ -1023,6 +1034,12 @@ class Runtime {
 
   void UpdateMonitorTemperatures();
   [[noreturn]] void ThrowCascadeOverflow() const;
+  [[noreturn]] void ThrowNotEnabled(MachineId chosen) const;
+  /// Re-derives `machine`'s enabled flag after something other than a
+  /// delivery changed it (its own step, a crash, a restart).
+  void RefreshEnabled(const Machine& machine) {
+    enabled_[machine.id_.value - 1] = machine.IsEnabled() ? 1 : 0;
+  }
 
   // Fault plane (called only when fault_mode_).
   /// Crash/restart choice point at the current step boundary: collects
@@ -1055,7 +1072,11 @@ class Runtime {
   std::vector<std::unique_ptr<Machine>> machines_;  // index = id - 1
   std::vector<std::unique_ptr<Monitor>> monitors_;
   std::vector<Monitor*> monitors_by_id_;  // index = interned monitor type id
-  std::vector<MachineId> enabled_scratch_;  // reused by every Step
+  /// The enabled set, one flag per machine (index = id - 1), exact at every
+  /// step boundary. Step compacts it into enabled_scratch_, which always
+  /// holds at least one slot per machine.
+  std::vector<std::uint8_t> enabled_;
+  std::vector<MachineId> enabled_scratch_;
   Trace trace_;
   std::uint64_t steps_ = 0;
   std::uint64_t cascade_actions_ = 0;

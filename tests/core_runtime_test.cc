@@ -1,12 +1,20 @@
 // Unit tests for the SysTest core runtime: machine semantics (send, raise,
-// goto, defer, ignore, halt, receive), monitor semantics, and end-of-execution
-// property checks.
+// goto, defer, ignore, halt, receive), monitor semantics, end-of-execution
+// property checks, the incrementally maintained enabled set against a
+// from-scratch scan, and the rejection of strategies that schedule outside
+// the enabled set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/scenario_registry.h"
+#include "api/strategy_registry.h"
 #include "core/systest.h"
 
 namespace {
@@ -560,6 +568,294 @@ TEST_F(ObservationFixture, StatsCountStatesAndHandlers) {
   EXPECT_EQ(stats.states, 3u);
   EXPECT_GE(stats.action_handlers, 5u);
   EXPECT_EQ(stats.declared_transitions, 1u);  // OnGoto<Probe>
+}
+
+// ---------------------------------------------------------------------------
+// The enabled set Runtime::Step maintains incrementally equals a from-scratch
+// IsEnabled scan at every scheduling point.
+
+/// Forwards every decision to `inner` and, at each scheduling point, checks
+/// the span Runtime::Step hands over against Runtime::RecomputeEnabledSet.
+class EnabledSetOracle final : public systest::SchedulingStrategy {
+ public:
+  explicit EnabledSetOracle(std::unique_ptr<SchedulingStrategy> inner)
+      : inner_(std::move(inner)) {}
+
+  /// The runtime being stepped; the harness wrapper rebinds it on every
+  /// build (a recycled runtime is built once).
+  void Bind(const Runtime* runtime) { runtime_ = runtime; }
+  [[nodiscard]] const Runtime& Bound() const { return *runtime_; }
+
+  void PrepareIteration(std::uint64_t iteration,
+                        std::uint64_t max_steps) override {
+    inner_->SetFaultPlacementPoints(FaultPlacementPoints());
+    inner_->PrepareIteration(iteration, max_steps);
+  }
+  MachineId Next(std::span<const MachineId> enabled,
+                 std::uint64_t step) override {
+    ++checks;
+    const std::vector<MachineId> expected = runtime_->RecomputeEnabledSet();
+    if (step == 0) {
+      machines_at_start_ = runtime_->MachineCount();
+    } else if (runtime_->MachineCount() > machines_at_start_) {
+      created_mid_execution = true;
+    }
+    if (std::equal(enabled.begin(), enabled.end(), expected.begin(),
+                   expected.end())) {
+      return inner_->Next(enabled, step);
+    }
+    if (mismatches++ == 0) {
+      first_mismatch = "step " + std::to_string(step) + ": span " +
+                       Ids(enabled) + ", scan " + Ids(expected);
+    }
+    // Keep a broken runtime on machines that exist and can run, so the
+    // mismatch is reported instead of crashing the test.
+    return inner_->Next(expected.empty() ? enabled : expected, step);
+  }
+  bool NextBool() override { return inner_->NextBool(); }
+  std::uint64_t NextInt(std::uint64_t bound) override {
+    return inner_->NextInt(bound);
+  }
+  systest::FaultDecision NextFault(const systest::FaultContext& ctx) override {
+    return inner_->NextFault(ctx);
+  }
+  systest::DeliveryFault NextDeliveryFault(
+      const systest::DeliveryFaultContext& ctx) override {
+    return inner_->NextDeliveryFault(ctx);
+  }
+  [[nodiscard]] std::string Name() const override { return inner_->Name(); }
+  [[nodiscard]] std::uint64_t PruneHoldoffSteps() const noexcept override {
+    return inner_->PruneHoldoffSteps();
+  }
+
+  std::uint64_t checks = 0;
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+  bool created_mid_execution = false;
+
+ private:
+  static std::string Ids(std::span<const MachineId> ids) {
+    std::string out = "{";
+    for (const MachineId id : ids) {
+      out += ' ';
+      out += std::to_string(id.value);
+    }
+    out += " }";
+    return out;
+  }
+
+  std::unique_ptr<SchedulingStrategy> inner_;
+  const Runtime* runtime_ = nullptr;
+  std::size_t machines_at_start_ = 0;
+};
+
+/// Whether the execution ended because no machine was enabled.
+bool EndedQuiescent(const systest::ExecutionResult& result) {
+  return !result.hit_step_bound && !result.pruned &&
+         (!result.bug_found || result.bug_kind == BugKind::kLiveness ||
+          result.bug_kind == BugKind::kDeadlock);
+}
+
+struct OracleSweep {
+  Runtime::FaultStats faults;
+  bool created_mid_execution = false;
+};
+
+/// Runs every registered scenario through a recycled ExecutionRunner with
+/// every fault kind armed, checking the enabled set at every step and, after
+/// a quiescent end, that the scan agrees nothing is enabled.
+void SweepEveryScenario(bool stateful, OracleSweep& sweep) {
+  constexpr std::uint64_t kIterations = 40;
+  for (const systest::api::Scenario* scenario :
+       systest::api::ScenarioRegistry::Instance().All()) {
+    SCOPED_TRACE(scenario->name);
+    TestConfig config = scenario->default_config();
+    config.stateful = stateful;
+    config.max_crashes = 2;
+    config.max_restarts = 2;
+    config.max_partitions = 2;
+    config.max_duplications = 2;
+    config.drop_probability_den = 16;
+    config.fault_odds_den = 8;
+    EnabledSetOracle oracle(systest::StrategyRegistry::Instance().Create(
+        config.strategy, config.seed, config.strategy_budget));
+    const Harness inner = scenario->make(systest::api::ParamMap{});
+    const Harness harness = [&oracle, &inner](Runtime& rt) {
+      oracle.Bind(&rt);
+      inner(rt);
+    };
+    systest::FingerprintSet visited(
+        static_cast<std::size_t>(config.max_visited));
+    systest::ExecutionRunner runner(config, harness, oracle, nullptr);
+    for (std::uint64_t i = 0; i < kIterations; ++i) {
+      const systest::ExecutionResult result =
+          runner.RunOne(i, stateful ? &visited : nullptr);
+      sweep.faults += result.faults;
+      ASSERT_TRUE(runner.Recycling()) << "iteration " << i;
+      if (EndedQuiescent(result)) {
+        EXPECT_TRUE(oracle.Bound().RecomputeEnabledSet().empty())
+            << "iteration " << i << " ended quiescent with machines enabled";
+      }
+    }
+    EXPECT_GT(oracle.checks, 0u);
+    EXPECT_EQ(oracle.mismatches, 0u) << oracle.first_mismatch;
+    sweep.created_mid_execution |= oracle.created_mid_execution;
+  }
+}
+
+TEST(EnabledSetOracle, EveryScenarioStatelessUnderFaults) {
+  OracleSweep sweep;
+  SweepEveryScenario(/*stateful=*/false, sweep);
+  // The sweep proves the crash/restart/partition/duplication and
+  // mid-execution-create paths only if they actually ran.
+  EXPECT_GT(sweep.faults.crashes, 0u);
+  EXPECT_GT(sweep.faults.restarts, 0u);
+  EXPECT_GT(sweep.faults.partitions, 0u);
+  EXPECT_GT(sweep.faults.duplications, 0u);
+  EXPECT_TRUE(sweep.created_mid_execution);
+}
+
+TEST(EnabledSetOracle, EveryScenarioStatefulUnderFaults) {
+  OracleSweep sweep;
+  SweepEveryScenario(/*stateful=*/true, sweep);
+  EXPECT_GT(sweep.faults.crashes, 0u);
+  EXPECT_GT(sweep.faults.restarts, 0u);
+}
+
+/// Blocks in Receive<Ping>; a queued Stop must not wake it.
+class PickyReceiver final : public Machine {
+ public:
+  PickyReceiver() {
+    State("Run").OnEntry(&PickyReceiver::Protocol).Ignore<Stop>();
+    SetStart("Run");
+  }
+
+ private:
+  Task Protocol() { (void)co_await Receive<Ping>(); }
+};
+
+/// Sends `receiver` a Stop, then one step later a Ping.
+class StopThenPing final : public Machine {
+ public:
+  explicit StopThenPing(MachineId receiver) : receiver_(receiver) {
+    State("Run")
+        .OnEntry(&StopThenPing::OnStart)
+        .On<Kick>(&StopThenPing::OnKick);
+    SetStart("Run");
+  }
+
+ private:
+  void OnStart() {
+    Send<Stop>(receiver_);
+    Send<Kick>(Id());
+  }
+  void OnKick() { Send<Ping>(receiver_, 0); }
+  MachineId receiver_;
+};
+
+TEST(EnabledSetOracle, ReceiveWakesOnlyOnAWaitedType) {
+  // No registered scenario delivers an unwaited type to a machine blocked in
+  // Receive, so the sweep above cannot see that case.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE(seed);
+    EnabledSetOracle oracle(std::make_unique<systest::RandomStrategy>(seed));
+    oracle.PrepareIteration(0, 100);
+    RuntimeOptions options;
+    options.max_steps = 100;
+    Runtime rt(oracle, options);
+    oracle.Bind(&rt);
+    const MachineId receiver = rt.CreateMachine<PickyReceiver>("Receiver");
+    rt.CreateMachine<StopThenPing>("Sender", receiver);
+    while (rt.Step()) {
+    }
+    EXPECT_TRUE(rt.RecomputeEnabledSet().empty());
+    EXPECT_EQ(oracle.mismatches, 0u) << oracle.first_mismatch;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A strategy that schedules outside the enabled set is a harness error that
+// names the strategy, never a crash or a false bug in the system under test.
+
+/// Deliberately broken third-party strategy. Budget 0 schedules machine id
+/// 0, budget 1 an id past every machine, budget 2 the lowest existing id
+/// that is not enabled (the first enabled one while there is none).
+class BadPickStrategy final : public systest::SchedulingStrategy {
+ public:
+  explicit BadPickStrategy(int mode) : mode_(mode) {}
+
+  void PrepareIteration(std::uint64_t, std::uint64_t) override {}
+  MachineId Next(std::span<const MachineId> enabled,
+                 std::uint64_t /*step*/) override {
+    if (mode_ == 0) return MachineId{0};
+    if (mode_ == 1) return MachineId{enabled.back().value + 100};
+    for (std::uint64_t id = 1; id <= enabled.back().value; ++id) {
+      if (!std::binary_search(enabled.begin(), enabled.end(), MachineId{id})) {
+        return MachineId{id};
+      }
+    }
+    return enabled.front();
+  }
+  bool NextBool() override { return false; }
+  std::uint64_t NextInt(std::uint64_t) override { return 0; }
+  [[nodiscard]] std::string Name() const override {
+    return "bad-pick(" + std::to_string(mode_) + ")";
+  }
+
+ private:
+  int mode_;
+};
+
+SYSTEST_REGISTER_STRATEGY(bad_pick, "bad-pick",
+                          "schedules outside the enabled set (tests)",
+                          [](std::uint64_t, int budget) {
+                            return std::make_unique<BadPickStrategy>(budget);
+                          });
+
+/// Sends itself `kicks` Kicks, one per step, so it stays enabled meanwhile.
+class SelfKicker final : public Machine {
+ public:
+  explicit SelfKicker(int kicks) : kicks_(kicks) {
+    State("Run").OnEntry(&SelfKicker::OnKick).On<Kick>(&SelfKicker::OnKick);
+    SetStart("Run");
+  }
+
+ private:
+  void OnKick() {
+    if (kicks_-- > 0) Send<Kick>(Id());
+  }
+  int kicks_;
+};
+
+TEST(StrategyContract, SchedulingOutsideTheEnabledSetIsAHarnessError) {
+  // Starver (id 1) blocks in Receive after its first step while SelfKicker
+  // (id 2) stays enabled, so bad-pick(2) schedules a live but disabled
+  // machine at step 1.
+  const Harness harness = [](Runtime& rt) {
+    rt.CreateMachine<Starver>("Starver");
+    rt.CreateMachine<SelfKicker>("SelfKicker", 5);
+  };
+  const struct {
+    const char* strategy;
+    const char* what;
+  } cases[] = {{"bad-pick(0)", "machine 0, which is unknown"},
+               {"bad-pick(1)", "machine 102, which is unknown"},
+               {"bad-pick(2)", "machine 1, which is not enabled"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.strategy);
+    TestConfig config;
+    config.iterations = 1;
+    config.max_steps = 100;
+    config.strategy = c.strategy;
+    TestingEngine engine(config, harness);
+    const TestReport report = engine.Run();
+    ASSERT_TRUE(report.bug_found);
+    EXPECT_EQ(report.bug_kind, BugKind::kHarnessError);
+    EXPECT_NE(report.bug_message.find(std::string("strategy '") + c.strategy +
+                                      "' scheduled " + c.what),
+              std::string::npos)
+        << report.bug_message;
+  }
 }
 
 }  // namespace
