@@ -1,8 +1,5 @@
-// Shared helpers for the SysTest paper-artifact benches (table2_*,
-// ablations, metrics_overhead): runs a harness under a scheduler with the
-// paper's 100,000-execution budget and prints Table 2-style rows (BF?,
-// time-to-bug in seconds, #NDC — the number of nondeterministic choices in
-// the first execution that found the bug).
+// Shared helpers for the SysTest paper-artifact benches (ablations,
+// metrics_overhead).
 //
 // Every bench built on these helpers accepts a `--json` flag (see
 // ParseArgs): instead of the human-readable table it then emits one JSON
@@ -20,8 +17,6 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
-
-#include "core/systest.h"
 
 namespace bench {
 
@@ -66,58 +61,6 @@ inline void EmitJson(const std::string& name, double executions_per_sec,
       "\"steps_per_sec\":%.1f,\"config\":\"%s %s\"}\n",
       name.c_str(), executions_per_sec, steps_per_sec, config.c_str(),
       HardwareDescription().c_str());
-  std::fflush(stdout);
-}
-
-/// One-line description of the engine configuration for the JSON output.
-inline std::string DescribeConfig(const systest::TestConfig& config) {
-  return config.strategy.str() +
-         " iters=" + std::to_string(config.iterations) +
-         " max_steps=" + std::to_string(config.max_steps) +
-         " seed=" + std::to_string(config.seed);
-}
-
-/// Runs `harness` under `config` and prints one Table 2-style row (or one
-/// JSON line in --json mode). Returns whether the row found its bug.
-inline bool RunRow(const std::string& label, const systest::TestConfig& config,
-                   const systest::Harness& harness) {
-  systest::TestingEngine engine(config, harness);
-  const systest::TestReport report = engine.Run();
-  if (JsonMode()) {
-    const double seconds = report.total_seconds;
-    EmitJson(label,
-             seconds > 0 ? static_cast<double>(report.executions) / seconds
-                         : 0.0,
-             seconds > 0 ? static_cast<double>(report.total_steps) / seconds
-                         : 0.0,
-             DescribeConfig(config) +
-                 (report.bug_found ? " bug_found=1" : " bug_found=0"));
-    return report.bug_found;
-  }
-  if (report.bug_found) {
-    std::printf("  %-42s  %-3s  %10.3f  %8llu   (iteration %llu)\n",
-                label.c_str(), "yes", report.seconds_to_bug,
-                static_cast<unsigned long long>(report.ndc),
-                static_cast<unsigned long long>(report.bug_iteration));
-  } else {
-    std::printf("  %-42s  %-3s  %10s  %8s   (%llu executions)\n",
-                label.c_str(), "no", "-", "-",
-                static_cast<unsigned long long>(report.executions));
-  }
-  std::fflush(stdout);
-  return report.bug_found;
-}
-
-inline void PrintHeader(const std::string& title) {
-  if (JsonMode()) {
-    return;
-  }
-  std::printf("\n%s\n", title.c_str());
-  std::printf("  %-42s  %-3s  %10s  %8s\n", "Bug Identifier", "BF?",
-              "TimeToBug(s)", "#NDC");
-  std::printf(
-      "  ------------------------------------------  ---  ----------  "
-      "--------\n");
   std::fflush(stdout);
 }
 

@@ -536,19 +536,12 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
                        "' declared no start state (call SetStart)");
   }
   if (machine->decl_ == nullptr) {
-    if (machine->share_decls_) {
-      // First instance of this machine type anywhere in the process: compile
-      // and publish its declarations. Later instances skip declaration
-      // building entirely (see CreateMachine).
-      machine->decl_ = detail::DeclRegistry::GetOrCompileMachineDecl(
-          std::type_index(typeid(*machine)),
-          std::move(machine->builder_states_));
-    } else {
-      machine->owned_decl_ = detail::CompileMachineDeclUnshared(
-          std::type_index(typeid(*machine)),
-          std::move(machine->builder_states_));
-      machine->decl_ = machine->owned_decl_.get();
-    }
+    // First instance of this machine type anywhere in the process: compile
+    // and publish its declarations. Later instances skip declaration
+    // building entirely (see CreateMachine).
+    machine->decl_ = detail::DeclRegistry::GetOrCompileMachineDecl(
+        std::type_index(typeid(*machine)),
+        std::move(machine->builder_states_));
     machine->builder_states_.clear();
   }
   if (probe_ != nullptr && probe_->coverage) [[unlikely]] {
@@ -589,16 +582,9 @@ void Runtime::AttachMonitor(std::unique_ptr<Monitor> monitor,
                        "' declared no start state (call SetStart)");
   }
   if (monitor->decl_ == nullptr) {
-    if (monitor->share_decls_) {
-      monitor->decl_ = detail::DeclRegistry::GetOrCompileMonitorDecl(
-          std::type_index(typeid(*monitor)),
-          std::move(monitor->builder_states_));
-    } else {
-      monitor->owned_decl_ = detail::CompileMonitorDeclUnshared(
-          std::type_index(typeid(*monitor)),
-          std::move(monitor->builder_states_));
-      monitor->decl_ = monitor->owned_decl_.get();
-    }
+    monitor->decl_ = detail::DeclRegistry::GetOrCompileMonitorDecl(
+        std::type_index(typeid(*monitor)),
+        std::move(monitor->builder_states_));
     monitor->builder_states_.clear();
   }
   Monitor* raw = monitor.get();

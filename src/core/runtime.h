@@ -440,12 +440,8 @@ class Machine {
   /// Builder-form states, populated by State() in the FIRST instance of the
   /// type only; moved into the shared decl at Attach and empty afterwards.
   std::map<std::string, detail::StateDecl> builder_states_;
-  /// Immutable per-type declaration, shared across instances and Runtimes
-  /// (or pointing at owned_decl_ for opted-out types).
+  /// Immutable per-type declaration, shared across instances and Runtimes.
   const detail::MachineDecl* decl_ = nullptr;
-  /// Per-instance decl for types with kShareStateDecls == false.
-  std::unique_ptr<const detail::MachineDecl> owned_decl_;
-  bool share_decls_ = true;
   std::string start_state_;
   const detail::CompiledState* current_state_ = nullptr;
 
@@ -645,8 +641,6 @@ class Monitor {
   std::string debug_name_;
   std::map<std::string, detail::MonitorStateDecl> builder_states_;
   const detail::MonitorDecl* decl_ = nullptr;
-  std::unique_ptr<const detail::MonitorDecl> owned_decl_;
-  bool share_decls_ = true;
   std::string start_state_;
   const detail::CompiledMonitorState* current_state_ = nullptr;
   std::uint64_t hot_steps_ = 0;
@@ -749,29 +743,24 @@ class Runtime {
   MachineId CreateMachine(std::string debug_name, Args&&... args) {
     static_assert(std::is_base_of_v<Machine, M>);
     std::unique_ptr<M> machine;
-    if constexpr (detail::SharesStateDecls<M>::value) {
-      const detail::MachineDecl* decl =
-          detail::DeclRegistry::FindMachineDecl(std::type_index(typeid(M)));
-      if (decl != nullptr) {
+    const detail::MachineDecl* decl =
+        detail::DeclRegistry::FindMachineDecl(std::type_index(typeid(M)));
+    if (decl != nullptr) {
 #ifdef NDEBUG
-        const detail::ScopedDeclSkip skip;
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
+      const detail::ScopedDeclSkip skip;
+      machine = std::make_unique<M>(std::forward<Args>(args)...);
 #else
-        // Debug builds construct declarations anyway and verify they match
-        // the shared decl — the tripwire for a type that varies its state
-        // graph per instance without opting out of sharing.
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
-        detail::VerifyDeclMatches(*decl, machine->builder_states_,
-                                  typeid(M).name());
-        machine->builder_states_.clear();
+      // Debug builds construct declarations anyway and verify they match
+      // the shared decl — the tripwire for a type that varies its state
+      // graph per instance.
+      machine = std::make_unique<M>(std::forward<Args>(args)...);
+      detail::VerifyDeclMatches(*decl, machine->builder_states_,
+                                typeid(M).name());
+      machine->builder_states_.clear();
 #endif
-        machine->decl_ = decl;
-      } else {
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
-      }
+      machine->decl_ = decl;
     } else {
       machine = std::make_unique<M>(std::forward<Args>(args)...);
-      machine->share_decls_ = false;
     }
     machine->reusable_ = detail::ReusableRuntime<M>::value;
     return Attach(std::move(machine), std::move(debug_name));
@@ -783,26 +772,21 @@ class Runtime {
   M& RegisterMonitor(std::string debug_name, Args&&... args) {
     static_assert(std::is_base_of_v<Monitor, M>);
     std::unique_ptr<M> monitor;
-    if constexpr (detail::SharesStateDecls<M>::value) {
-      const detail::MonitorDecl* decl =
-          detail::DeclRegistry::FindMonitorDecl(std::type_index(typeid(M)));
-      if (decl != nullptr) {
+    const detail::MonitorDecl* decl =
+        detail::DeclRegistry::FindMonitorDecl(std::type_index(typeid(M)));
+    if (decl != nullptr) {
 #ifdef NDEBUG
-        const detail::ScopedDeclSkip skip;
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
+      const detail::ScopedDeclSkip skip;
+      monitor = std::make_unique<M>(std::forward<Args>(args)...);
 #else
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
-        detail::VerifyMonitorDeclMatches(*decl, monitor->builder_states_,
-                                         typeid(M).name());
-        monitor->builder_states_.clear();
+      monitor = std::make_unique<M>(std::forward<Args>(args)...);
+      detail::VerifyMonitorDeclMatches(*decl, monitor->builder_states_,
+                                       typeid(M).name());
+      monitor->builder_states_.clear();
 #endif
-        monitor->decl_ = decl;
-      } else {
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
-      }
+      monitor->decl_ = decl;
     } else {
       monitor = std::make_unique<M>(std::forward<Args>(args)...);
-      monitor->share_decls_ = false;
     }
     monitor->reusable_ = detail::ReusableRuntime<M>::value;
     M& ref = *monitor;

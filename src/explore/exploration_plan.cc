@@ -33,19 +33,10 @@ std::vector<WorkerAssignment> PartitionBudget(const TestConfig& config,
   assignments.reserve(static_cast<std::size_t>(workers));
   std::uint64_t offset = 0;
   for (int w = 0; w < workers; ++w) {
-    WorkerAssignment a;
+    WorkerAssignment a{config};
     a.worker = w;
-    a.strategy = config.strategy;
-    a.strategy_budget = config.strategy_budget;
     a.seed = config.seed + offset;
     a.iterations = base + (static_cast<std::uint64_t>(w) < remainder ? 1 : 0);
-    a.max_crashes = config.max_crashes;
-    a.max_restarts = config.max_restarts;
-    a.drop_probability_den = config.drop_probability_den;
-    a.max_duplications = config.max_duplications;
-    a.max_partitions = config.max_partitions;
-    a.partition_heal_den = config.partition_heal_den;
-    a.fault_placement_points = config.fault_placement_points;
     offset += a.iterations;
     assignments.push_back(a);
   }

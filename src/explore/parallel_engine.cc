@@ -115,18 +115,6 @@ ParallelTestReport ParallelTestingEngine::Run() {
         assignment.strategy, assignment.seed, assignment.strategy_budget);
     wr.strategy_name = strategy->Name();
 
-    // Plan shards carry their own fault budgets (portfolio races fault-free
-    // workers against fault-heavy ones), so each worker explores under the
-    // budgets of ITS assignment, not the fleet config's.
-    TestConfig worker_config = config_;
-    worker_config.max_crashes = assignment.max_crashes;
-    worker_config.max_restarts = assignment.max_restarts;
-    worker_config.drop_probability_den = assignment.drop_probability_den;
-    worker_config.max_duplications = assignment.max_duplications;
-    worker_config.max_partitions = assignment.max_partitions;
-    worker_config.partition_heal_den = assignment.partition_heal_den;
-    worker_config.fault_placement_points = assignment.fault_placement_points;
-
     // Per-worker observability handle on the worker's own stack: the probe
     // and coverage accumulator are private (lock-free), only the flush into
     // the shared sharded instruments crosses threads.
@@ -137,10 +125,12 @@ ParallelTestReport ParallelTestingEngine::Run() {
     }
 
     // Thread-affine recycler: one sealed Runtime (and one event arena) per
-    // worker for its whole assignment when the harness opted in. Declared
-    // after strategy / worker_config / worker_obs — it borrows all three.
-    ExecutionRunner runner(worker_config, harness_, *strategy,
-                           worker_obs.get());
+    // worker for its whole assignment when the harness opted in. Plan shards
+    // carry their own fault budgets (portfolio races fault-free workers
+    // against fault-heavy ones), so each worker explores under the budgets
+    // of ITS assignment, not the fleet config's. Declared after strategy and
+    // worker_obs — it borrows both.
+    ExecutionRunner runner(assignment, harness_, *strategy, worker_obs.get());
 
     const auto worker_start = Clock::now();
     for (std::uint64_t i = 0; i < assignment.iterations; ++i) {
@@ -157,7 +147,7 @@ ParallelTestReport ParallelTestingEngine::Run() {
         wr.fingerprint_misses += result.fingerprint_misses;
         if (result.pruned) ++wr.pruned_executions;
       }
-      if (worker_config.FaultsEnabled()) {
+      if (assignment.FaultsEnabled()) {
         wr.injected_faults += result.faults;
       }
       if (options_.corpus != nullptr && config_.stateful &&
@@ -250,16 +240,17 @@ ParallelTestReport ParallelTestingEngine::Run() {
     agg.strategy_name =
         report.workers[static_cast<std::size_t>(won)].strategy_name;
 
-    if (options_.verify_replay) {
-      // The trace must witness the bug anywhere, not just inside the worker
-      // that recorded it: replay it on THIS thread through the plain serial
-      // engine before handing it to the caller.
+    if (options_.verify_replay || config_.readable_trace_on_bug) {
+      // One replay on THIS thread through the plain serial engine serves
+      // both flags: it checks that the trace witnesses the bug anywhere, not
+      // just inside the worker that recorded it, and it produces the
+      // readable log.
       TestingEngine replayer(config_, harness_);
-      const TestReport replayed = replayer.Replay(agg.bug_trace);
-      report.replay_verified =
-          replayed.bug_found && replayed.bug_kind == agg.bug_kind;
+      TestReport replayed = replayer.Replay(agg.bug_trace);
+      report.replay_verified = options_.verify_replay && replayed.bug_found &&
+                               replayed.bug_kind == agg.bug_kind;
       if (config_.readable_trace_on_bug) {
-        agg.execution_log = replayed.execution_log;
+        agg.execution_log = std::move(replayed.execution_log);
       }
     }
   }

@@ -278,8 +278,11 @@ class PipelineDriverMachine final : public systest::Machine {
 
  private:
   void OnStart() {
-    const systest::MachineId aggregator = Create<AggregatorMachine>(
-        "Aggregator", Id(), options_.records, options_.bugs);
+    const systest::MachineId aggregator =
+        options_.bugs.unguarded_pipeline_config
+            ? Create<UnguardedAggregatorMachine>("Aggregator", Id(),
+                                                 options_.records)
+            : Create<AggregatorMachine>("Aggregator", Id(), options_.records);
     // The source starts emitting concurrently with the configuration
     // delivery — the race at the heart of the modeled CScale bug.
     Create<PipelineSourceMachine>("PipelineSource", aggregator,

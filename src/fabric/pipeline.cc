@@ -2,57 +2,48 @@
 
 namespace fabric {
 
-AggregatorMachine::AggregatorMachine(systest::MachineId driver,
-                                     int expected_records, FabricBugs bugs)
-    : driver_(driver), expected_records_(expected_records), bugs_(bugs) {
-  if (bugs_.unguarded_pipeline_config) {
-    // BUG (CScale NullReferenceException analogue): a single state whose
-    // record handler dereferences the configuration unconditionally.
-    State("Running")
-        .On<PipelineConfig>(&AggregatorMachine::OnConfig)
-        .On<PipelineRecord>(&AggregatorMachine::OnRecordUnconfigured);
-    SetStart("Running");
-    return;
+void AggregatorBase::Account(const PipelineRecord& record) {
+  aggregate_ += record.value * *scale_;
+  ++seen_;
+  if (seen_ == expected_records_) {
+    Send<PipelineResult>(driver_, aggregate_);
+    Halt();
   }
-  // Correct: records are deferred until the configuration has arrived.
+}
+
+AggregatorMachine::AggregatorMachine(systest::MachineId driver,
+                                     int expected_records)
+    : AggregatorBase(driver, expected_records) {
   State("Unconfigured")
       .Defer<PipelineRecord>()
       .On<PipelineConfig>(&AggregatorMachine::OnConfig);
-  State("Configured").On<PipelineRecord>(&AggregatorMachine::OnRecord);
+  State("Configured").On<PipelineRecord>(&AggregatorMachine::Account);
   SetStart("Unconfigured");
 }
 
 void AggregatorMachine::OnConfig(const PipelineConfig& config) {
-  scale_ = config.scale;
-  if (!bugs_.unguarded_pipeline_config) {
-    Goto("Configured");
-  }
+  StoreConfig(config);
+  Goto("Configured");
 }
 
-void AggregatorMachine::OnRecordUnconfigured(const PipelineRecord& record) {
+UnguardedAggregatorMachine::UnguardedAggregatorMachine(
+    systest::MachineId driver, int expected_records)
+    : AggregatorBase(driver, expected_records) {
+  // BUG (CScale NullReferenceException analogue): a single state whose
+  // record handler dereferences the configuration unconditionally.
+  State("Running")
+      .On<PipelineConfig>(&UnguardedAggregatorMachine::StoreConfig)
+      .On<PipelineRecord>(&UnguardedAggregatorMachine::OnRecord);
+  SetStart("Running");
+}
+
+void UnguardedAggregatorMachine::OnRecord(const PipelineRecord& record) {
   // The unguarded dereference: with no configuration present this is the
   // modeled null-reference crash.
   Assert(scale_.has_value(),
          "null dereference: aggregator consumed a record before its routing "
          "configuration arrived");
   Account(record);
-}
-
-void AggregatorMachine::OnRecord(const PipelineRecord& record) {
-  Account(record);
-}
-
-void AggregatorMachine::Account(const PipelineRecord& record) {
-  aggregate_ += record.value * *scale_;
-  ++seen_;
-  MaybeFinish();
-}
-
-void AggregatorMachine::MaybeFinish() {
-  if (seen_ == expected_records_) {
-    Send<PipelineResult>(driver_, aggregate_);
-    Halt();
-  }
 }
 
 PipelineSourceMachine::PipelineSourceMachine(systest::MachineId aggregator,

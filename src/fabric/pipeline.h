@@ -17,32 +17,44 @@
 
 namespace fabric {
 
-/// Downstream aggregation stage. Correct behavior: records that arrive
-/// before the configuration are deferred; buggy behavior: the configuration
-/// is dereferenced unconditionally.
-class AggregatorMachine final : public systest::Machine {
- public:
-  /// The constructor declares a DIFFERENT state graph when the bug is
-  /// injected, so this type cannot share compiled declarations per type.
-  static constexpr bool kShareStateDecls = false;
+/// Downstream aggregation stage: the members and actions the correct and
+/// the buggy aggregator share. Each of the two types below declares one
+/// fixed state graph.
+class AggregatorBase : public systest::Machine {
+ protected:
+  AggregatorBase(systest::MachineId driver, int expected_records)
+      : driver_(driver), expected_records_(expected_records) {}
 
-  AggregatorMachine(systest::MachineId driver, int expected_records,
-                    FabricBugs bugs);
+  void StoreConfig(const PipelineConfig& config) { scale_ = config.scale; }
+  void Account(const PipelineRecord& record);
+
+  std::optional<std::int64_t> scale_;
+
+ private:
+  systest::MachineId driver_;
+  int expected_records_;
+  std::int64_t aggregate_ = 0;
+  int seen_ = 0;
+};
+
+/// Correct behavior: records that arrive before the configuration are
+/// deferred until it has arrived.
+class AggregatorMachine final : public AggregatorBase {
+ public:
+  AggregatorMachine(systest::MachineId driver, int expected_records);
 
  private:
   void OnConfig(const PipelineConfig& config);
-  void OnRecordUnconfigured(const PipelineRecord& record);
+};
+
+/// Buggy behavior (FabricBugs::unguarded_pipeline_config): the
+/// configuration is dereferenced unconditionally.
+class UnguardedAggregatorMachine final : public AggregatorBase {
+ public:
+  UnguardedAggregatorMachine(systest::MachineId driver, int expected_records);
+
+ private:
   void OnRecord(const PipelineRecord& record);
-
-  void Account(const PipelineRecord& record);
-  void MaybeFinish();
-
-  systest::MachineId driver_;
-  int expected_records_;
-  FabricBugs bugs_;
-  std::optional<std::int64_t> scale_;
-  std::int64_t aggregate_ = 0;
-  int seen_ = 0;
 };
 
 /// Upstream stage: transforms client-visible values into derived records and

@@ -317,6 +317,24 @@ TEST(SessionModes, ParallelSessionFindsBugAndVerifiesReplay) {
   EXPECT_FALSE(report.BreakdownTable().empty());
 }
 
+TEST(SessionModes, ParallelSessionKeepsTheReadableLogWithoutVerifying) {
+  SessionConfig config;
+  config.scenario = "race";
+  config.threads = 2;
+  config.readable_trace_on_bug = true;
+  config.verify_replay = false;
+  TestSession session(config);
+  const SessionReport report = session.Run();
+  ASSERT_TRUE(report.report.bug_found);
+  EXPECT_FALSE(report.replay_verify_attempted);
+  EXPECT_FALSE(report.replay_verified);
+  TestingEngine replayer(session.ResolveConfig(),
+                         ScenarioRegistry::Instance().Get("race").make({}));
+  const TestReport replayed = replayer.Replay(report.report.bug_trace);
+  EXPECT_FALSE(replayed.execution_log.empty());
+  EXPECT_EQ(report.report.execution_log, replayed.execution_log);
+}
+
 TEST(SessionModes, PortfolioSessionRacesTheRotation) {
   SessionConfig config;
   config.scenario = "race";

@@ -48,26 +48,6 @@ class RegMachineB final : public Machine {
   void OnProbe(const RegProbe&) {}
 };
 
-/// Per-instance state graphs (mirrors fabric's AggregatorMachine): must NOT
-/// share a registry decl.
-class RegUnsharedMachine final : public Machine {
- public:
-  static constexpr bool kShareStateDecls = false;
-
-  explicit RegUnsharedMachine(bool alt) {
-    if (alt) {
-      State("Alt").On<RegProbe>(&RegUnsharedMachine::OnProbe);
-      SetStart("Alt");
-    } else {
-      State("Base").On<RegProbe>(&RegUnsharedMachine::OnProbe);
-      SetStart("Base");
-    }
-  }
-
- private:
-  void OnProbe(const RegProbe&) {}
-};
-
 TEST(DeclRegistry, TwoRuntimesInDifferentOrdersShareOneDeclPerType) {
   systest::RoundRobinStrategy s1, s2;
   s1.PrepareIteration(0, 100);
@@ -102,26 +82,6 @@ TEST(DeclRegistry, TwoRuntimesInDifferentOrdersShareOneDeclPerType) {
   EXPECT_TRUE(
       decl_a1->states[0].ignores.Contains(systest::EventTypeIdOf<RegOther>()));
   EXPECT_GE(decl_a1->states[0].dispatch.size(), 1u);
-}
-
-TEST(DeclRegistry, OptedOutTypeGetsPerInstanceDecls) {
-  systest::RoundRobinStrategy strategy;
-  strategy.PrepareIteration(0, 100);
-  systest::Runtime rt(strategy);
-  const MachineId base = rt.CreateMachine<RegUnsharedMachine>("base", false);
-  const MachineId alt = rt.CreateMachine<RegUnsharedMachine>("alt", true);
-
-  const auto* base_decl = rt.FindMachine(base)->StateDecls();
-  const auto* alt_decl = rt.FindMachine(alt)->StateDecls();
-  ASSERT_NE(base_decl, nullptr);
-  ASSERT_NE(alt_decl, nullptr);
-  EXPECT_NE(base_decl, alt_decl);
-  EXPECT_EQ(base_decl->states[0].name, "Base");
-  EXPECT_EQ(alt_decl->states[0].name, "Alt");
-  // Never published to the shared registry.
-  EXPECT_EQ(systest::detail::DeclRegistry::FindMachineDecl(
-                std::type_index(typeid(RegUnsharedMachine))),
-            nullptr);
 }
 
 TEST(DeclRegistry, SecondInstanceSkipsDeclarationBuildButBehavesTheSame) {
